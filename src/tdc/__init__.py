@@ -7,8 +7,6 @@ from .compressor import (
     Window,
     WindowPlan,
     assemble_tdc,
-    build_queries,
-    compress_frame,
     make_windows,
     read_stream,
     token_budget,
@@ -20,7 +18,6 @@ from .lvcot import (
     LVCoTConfig,
     LVCoTTrace,
     MockAnswerer,
-    mock_script,
     run_lvcot,
     split_spans,
 )
@@ -31,6 +28,7 @@ from .qformer import (
     QFormerParams,
     TrainBatch,
     backward,
+    build_queries,
     forward,
     grad_check,
     init_params,

@@ -131,14 +131,13 @@ def _cmd_gen(args) -> None:
 def _cmd_segment(args) -> None:
     tl = timeline.read_tdcf(args.input)
     cfg = segmenter.SegmenterConfig(max_scenes=args.max_segments, tau=args.tau)
-    sims = segmenter.frame_similarities(tl, cfg.descriptor_source)
-    partition = segmenter.ScenePartition(tl.frame_count, segmenter.select_cuts(sims, cfg))
+    partition = segmenter.segment_scenes(tl, cfg)
     _emit(
         {
             "command": "segment",
             "frames": tl.frame_count,
             "boundaries": list(partition.boundaries),
-            "cut_similarities": [float(sims[b - 1]) for b in partition.boundaries],
+            "cut_similarities": list(partition.cut_similarities),
             "scene_count": partition.scene_count,
             "scenes": [list(s) for s in partition.scenes],
         }
@@ -154,8 +153,8 @@ def _plan_for(tl, args):
 def _qformer_config(tl, args) -> qformer.QFormerConfig:
     return qformer.QFormerConfig(
         queries=args.k,
-        query_type=getattr(args, "query_type", "avgpool"),
-        text_conditioning=getattr(args, "text", None) is not None,
+        query_type=args.query_type,
+        text_conditioning=args.text is not None,
         visual_dim=tl.visual_tokens.shape[2],
         audio_dim=tl.audio_tokens.shape[2],
         seed=args.seed,
@@ -185,12 +184,7 @@ def _cmd_compress(args) -> None:
 def _cmd_budget(args) -> None:
     tl = timeline.read_tdcf(args.input)
     _, plan = _plan_for(tl, args)
-    cfg = qformer.QFormerConfig(
-        queries=args.k,
-        visual_dim=tl.visual_tokens.shape[2],
-        audio_dim=tl.audio_tokens.shape[2],
-    )
-    report = compressor.token_budget(tl, plan, cfg)
+    report = compressor.token_budget(tl, plan, qformer.QFormerConfig(queries=args.k))
     _emit(
         {
             "command": "budget",
@@ -212,7 +206,7 @@ def _cmd_lvcot(args) -> None:
             script = json.load(fh)
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise ArgumentError(f"script file {args.script!r} must hold a JSON list of strings")
-        answerer = lvcot.mock_script(script)
+        answerer = lvcot.MockAnswerer(script)
     else:
         answerer = lvcot.EchoAnswerer()
     params = qformer.init_params(_qformer_config(tl, args))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qformer
 from .binio import ByteReader, ByteWriter
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, NumericError, ShapeError
 from .segmenter import ScenePartition
 from .timeline import InstructionTokens, VideoTimeline
 
@@ -86,18 +86,6 @@ def make_windows(partition: ScenePartition, window_length: int = DEFAULT_WINDOW)
     return WindowPlan(partition.frame_count, window_length, tuple(windows))
 
 
-def build_queries(params: qformer.QFormerParams, static_visual) -> np.ndarray:
-    """Window queries from the static frame (avgpool) or the learned tensor."""
-    return qformer.build_queries(params, static_visual)
-
-
-def compress_frame(
-    params: qformer.QFormerParams, queries, frame_visual, frame_audio, text=None
-) -> np.ndarray:
-    """K compressed tokens for one dynamic frame."""
-    return qformer.forward(params, queries, frame_visual, frame_audio, text=text)
-
-
 def _window_token_count(n_frames: int, visual_tokens: int, audio_tokens: int, k: int) -> int:
     return visual_tokens + audio_tokens + 1 + (n_frames - 1) * k
 
@@ -108,7 +96,10 @@ def assemble_tdc(
     params: qformer.QFormerParams,
     text: InstructionTokens | None = None,
 ) -> TDCStream:
-    """Build the full compressed stream for a planned timeline."""
+    """Build the full compressed stream for a planned timeline.
+
+    Raises NumericError, naming the first frame, if any token is not finite.
+    """
     cfg = params.cfg
     if plan.frame_count != tl.frame_count:
         raise ShapeError(
@@ -139,21 +130,27 @@ def assemble_tdc(
 
     for w_idx, window in enumerate(plan.windows):
         s = window.static_frame
-        queries = build_queries(params, visual[s])
+        queries = qformer.build_queries(params, visual[s])
         emit(visual[s] @ w_v, Provenance.STATIC_VISUAL, s, w_idx)
         if audio.shape[1] > 0:
             emit(audio[s] @ w_a, Provenance.STATIC_AUDIO, s, w_idx)
         emit(sep.copy(), Provenance.SEP, -1, w_idx)
         for f in window.dynamic_frames:
-            out = compress_frame(params, queries, visual[f], audio[f], text=text)
+            out = qformer.forward(params, queries, visual[f], audio[f], text=text)
             emit(out, Provenance.DYNAMIC, f, w_idx)
 
-    return TDCStream(
+    stream = TDCStream(
         tokens=np.vstack(chunks),
         provenance=np.concatenate(prov),
         frame_index=np.concatenate(frames),
         window_index=np.concatenate(windows),
     )
+    if not np.isfinite(stream.tokens).all():
+        row = int(np.flatnonzero(~np.isfinite(stream.tokens).all(axis=1))[0])
+        frame = int(stream.frame_index[row])
+        where = "the separator" if frame < 0 else f"frame {frame}"
+        raise NumericError(f"stream token {row} from {where} is not finite")
+    return stream
 
 
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateInputError, ShapeError
+from .errors import ArgumentError, ShapeError
 
 # tanh-form gelu constants
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -24,17 +24,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D arrays with explicit shape checking."""
-    am = as_matrix(a, "left operand")
-    bm = as_matrix(b, "right operand")
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {am.shape[0]}x{am.shape[1]} by {bm.shape[0]}x{bm.shape[1]}"
-        )
-    return am @ bm
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax, computed with max-subtraction for stability.
 
@@ -47,8 +36,12 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def layer_norm(m, gamma, beta, eps: float = 1e-5) -> np.ndarray:
-    """Per-row normalization to mean 0 / variance 1, then affine gamma*x + beta."""
+def layer_norm(m, gamma, beta, eps: float = 1e-5):
+    """Per-row normalization to mean 0 / variance 1, then affine gamma*x + beta.
+
+    Returns (output, cache); the cache (normalized rows, per-row reciprocal
+    standard deviation) is what layer_norm_grad needs.
+    """
     a = as_matrix(m)
     g = np.asarray(gamma, dtype=np.float64).ravel()
     b = np.asarray(beta, dtype=np.float64).ravel()
@@ -60,7 +53,20 @@ def layer_norm(m, gamma, beta, eps: float = 1e-5) -> np.ndarray:
         raise ArgumentError(f"eps must be positive, got {eps}")
     centered = a - a.mean(axis=1, keepdims=True)
     var = (centered * centered).mean(axis=1, keepdims=True)
-    return centered / np.sqrt(var + eps) * g + b
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * g + b, (xhat, inv)
+
+
+def layer_norm_grad(dy, cache, gamma):
+    """Gradients (d input, d gamma, d beta) of layer_norm for upstream dy."""
+    xhat, inv = cache
+    dgamma = (dy * xhat).sum(axis=0)
+    dbeta = dy.sum(axis=0)
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 
 def gelu(m) -> np.ndarray:
@@ -105,15 +111,3 @@ def mean_pool_groups(m, k: int) -> np.ndarray:
     sums = np.add.reduceat(a, starts, axis=0)
     return sums / np.asarray(sizes, dtype=np.float64)[:, None]
 
-
-def cosine_sim(u, v) -> float:
-    """Cosine similarity of two nonzero vectors, clipped into [-1, 1]."""
-    uu = np.asarray(u, dtype=np.float64).ravel()
-    vv = np.asarray(v, dtype=np.float64).ravel()
-    if uu.shape != vv.shape:
-        raise ShapeError(f"vector lengths differ: {uu.shape[0]} vs {vv.shape[0]}")
-    nu = np.linalg.norm(uu)
-    nv = np.linalg.norm(vv)
-    if not (nu > 0.0 and nv > 0.0):
-        raise DegenerateInputError("cosine similarity of a zero-norm vector is undefined")
-    return float(np.clip(uu @ vv / (nu * nv), -1.0, 1.0))

@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .compressor import TDCStream, assemble_tdc, make_windows
-from .errors import ArgumentError, OrchestrationError
+from .errors import ArgumentError, NumericError, OrchestrationError
 from .qformer import QFormerParams
 from .segmenter import SegmenterConfig, segment_scenes
 from .timeline import InstructionTokens, VideoTimeline, tokenize_text
@@ -48,10 +48,6 @@ class MockAnswerer:
         return out
 
 
-def mock_script(answers: list[str]) -> MockAnswerer:
-    return MockAnswerer(answers)
-
-
 class EchoAnswerer:
     """Deterministic digest of the prompt and stream contents, for trace tests."""
 
@@ -66,8 +62,6 @@ class EchoAnswerer:
 @dataclass(frozen=True)
 class LVCoTConfig:
     segments: int = DEFAULT_SEGMENTS
-    segment_template: str = SEGMENT_TEMPLATE
-    final_template: str = FINAL_TEMPLATE
 
     def __post_init__(self):
         if self.segments < 1:
@@ -134,8 +128,13 @@ def run_lvcot(
     prompts: list[str] = []
     answers: list[str] = []
     for i, (start, stop) in enumerate(spans):
-        prompt = cfg.segment_template.format(question=question, start=start, stop=stop)
-        stream = _stream_for(tl.slice(start, stop), ctx, text)
+        prompt = SEGMENT_TEMPLATE.format(question=question)
+        try:
+            stream = _stream_for(tl.slice(start, stop), ctx, text)
+        except NumericError as exc:
+            raise NumericError(
+                f"segment {i} ({start}s-{stop}s, frames counted from its start): {exc}"
+            ) from exc
         try:
             answers.append(answerer.answer(prompt, stream))
         except OrchestrationError as exc:
@@ -146,7 +145,7 @@ def run_lvcot(
         f"{interval_tag(start, stop)} {answer}"
         for (start, stop), answer in zip(spans, answers)
     ]
-    final_prompt = "\n".join(notes + [cfg.final_template.format(question=question)])
+    final_prompt = "\n".join(notes + [FINAL_TEMPLATE.format(question=question)])
     full_stream = _stream_for(tl, ctx, text)
     try:
         final_answer = answerer.answer(final_prompt, full_stream)

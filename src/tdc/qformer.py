@@ -205,6 +205,8 @@ class _LayerCache(NamedTuple):
 
 
 class _ForwardCache(NamedTuple):
+    visual: np.ndarray
+    audio: np.ndarray
     ids: tuple[int, ...]
     kv: np.ndarray
     n_rows: int
@@ -225,25 +227,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _softmax_last(s: np.ndarray) -> np.ndarray:
     flat = kernels.softmax_rows(s.reshape(-1, s.shape[-1]))
     return flat.reshape(s.shape)
-
-
-def _ln_forward(x, gamma, beta):
-    mu = x.mean(axis=1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
-    return xhat * gamma + beta, (xhat, inv)
-
-
-def _ln_backward(dy, cache, gamma):
-    xhat, inv = cache
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 
 def _attn_forward(q_in, kv_in, wq, wk, wv, wo, heads):
@@ -303,7 +286,12 @@ def _check_inputs(params: QFormerParams, queries, visual, audio, text):
     return q, v, a, ids
 
 
-def _forward(params: QFormerParams, queries, visual, audio, text=None):
+def forward(params: QFormerParams, queries, visual, audio, text=None, return_cache=False):
+    """Compress one frame's tokens into K query outputs of the model dim.
+
+    With ``return_cache`` the result is (output, cache), and the cache feeds
+    the backward pass without running this forward again.
+    """
     cfg = params.cfg
     t = params.tensors
     q, v, a, ids = _check_inputs(params, queries, visual, audio, text)
@@ -317,34 +305,30 @@ def _forward(params: QFormerParams, queries, visual, audio, text=None):
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
         p = f"layers.{i}."
-        h1, ln1 = _ln_forward(x, t[p + "self_norm.gamma"], t[p + "self_norm.beta"])
+        h1, ln1 = kernels.layer_norm(x, t[p + "self_norm.gamma"], t[p + "self_norm.beta"], LN_EPS)
         sa, self_cache = _attn_forward(
             h1, h1, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"], cfg.heads
         )
         x = x + sa
 
-        h2, ln2 = _ln_forward(x, t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"])
+        h2, ln2 = kernels.layer_norm(x, t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"], LN_EPS)
         ca, cross_cache = _attn_forward(
             h2[:k], kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
         )
         x = x.copy()
         x[:k] += ca
 
-        h3, ln3 = _ln_forward(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"])
+        h3, ln3 = kernels.layer_norm(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"], LN_EPS)
         u = h3 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         g = kernels.gelu(u)
         x = x + g @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
 
         layer_caches.append(_LayerCache(ln1, self_cache, ln2, cross_cache, ln3, h3, u, g))
 
-    out, final_ln = _ln_forward(x[:k], t["final_norm.gamma"], t["final_norm.beta"])
-    return out, _ForwardCache(ids, kv, x.shape[0], layer_caches, final_ln)
-
-
-def forward(params: QFormerParams, queries, visual, audio, text=None, return_cache=False):
-    """Compress one frame's tokens into K query outputs of the model dim."""
-    out, cache = _forward(params, queries, visual, audio, text)
-    return (out, cache) if return_cache else out
+    out, final_ln = kernels.layer_norm(x[:k], t["final_norm.gamma"], t["final_norm.beta"], LN_EPS)
+    if return_cache:
+        return out, _ForwardCache(v, a, ids, kv, x.shape[0], layer_caches, final_ln)
+    return out
 
 
 def backward(params: QFormerParams, queries, visual, audio, upstream, text=None) -> GradientBundle:
@@ -355,17 +339,20 @@ def backward(params: QFormerParams, queries, visual, audio, upstream, text=None)
     ``learned_queries`` parameter, which therefore also receives the gradient.
     """
     cfg = params.cfg
+    up = np.asarray(upstream, dtype=np.float64)
+    if up.shape != (cfg.queries, cfg.model_dim):
+        raise ShapeError(f"upstream shape {up.shape} does not match ({cfg.queries}, {cfg.model_dim})")
+    _, cache = forward(params, queries, visual, audio, text, return_cache=True)
+    return _backward(params, cache, up)
+
+
+def _backward(params: QFormerParams, cache: _ForwardCache, up: np.ndarray) -> GradientBundle:
+    cfg = params.cfg
     t = params.tensors
     k = cfg.queries
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != (k, cfg.model_dim):
-        raise ShapeError(f"upstream shape {up.shape} does not match ({k}, {cfg.model_dim})")
-    _, cache = _forward(params, queries, visual, audio, text)
-    _, v, a, ids = _check_inputs(params, queries, visual, audio, text)
-
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
 
-    d_rows, d_gamma, d_beta = _ln_backward(up, cache.final_ln, t["final_norm.gamma"])
+    d_rows, d_gamma, d_beta = kernels.layer_norm_grad(up, cache.final_ln, t["final_norm.gamma"])
     grads["final_norm.gamma"] += d_gamma
     grads["final_norm.beta"] += d_beta
 
@@ -386,7 +373,7 @@ def backward(params: QFormerParams, queries, visual, audio, upstream, text=None)
         grads[p + "ffn.w1"] += lc.h3.T @ d_u
         grads[p + "ffn.b1"] += d_u.sum(axis=0)
         d_h3 = d_u @ t[p + "ffn.w1"].T
-        d_x3, d_gamma, d_beta = _ln_backward(d_h3, lc.ln3, t[p + "ffn_norm.gamma"])
+        d_x3, d_gamma, d_beta = kernels.layer_norm_grad(d_h3, lc.ln3, t[p + "ffn_norm.gamma"])
         grads[p + "ffn_norm.gamma"] += d_gamma
         grads[p + "ffn_norm.beta"] += d_beta
         d_x = d_x + d_x3
@@ -400,7 +387,7 @@ def backward(params: QFormerParams, queries, visual, audio, upstream, text=None)
         d_kv += d_kv_in
         d_h2 = np.zeros_like(d_x)
         d_h2[:k] = d_q_in
-        d_x2, d_gamma, d_beta = _ln_backward(d_h2, lc.ln2, t[p + "cross_norm.gamma"])
+        d_x2, d_gamma, d_beta = kernels.layer_norm_grad(d_h2, lc.ln2, t[p + "cross_norm.gamma"])
         grads[p + "cross_norm.gamma"] += d_gamma
         grads[p + "cross_norm.beta"] += d_beta
         d_x = d_x + d_x2
@@ -412,18 +399,18 @@ def backward(params: QFormerParams, queries, visual, audio, upstream, text=None)
         for w, g_ in wgrads.items():
             grads[p + "self." + w] += g_
         d_h1 = d_q_in + d_kv_in
-        d_x1, d_gamma, d_beta = _ln_backward(d_h1, lc.ln1, t[p + "self_norm.gamma"])
+        d_x1, d_gamma, d_beta = kernels.layer_norm_grad(d_h1, lc.ln1, t[p + "self_norm.gamma"])
         grads[p + "self_norm.gamma"] += d_gamma
         grads[p + "self_norm.beta"] += d_beta
         d_x = d_x + d_x1
 
     d_queries = d_x[:k].copy()
-    if ids:
-        np.add.at(grads["text_embed"], np.asarray(ids, dtype=np.intp), d_x[k:])
-    m_v = v.shape[0]
-    grads["visual_proj"] += v.T @ d_kv[:m_v]
-    if a.shape[0]:
-        grads["audio_proj"] += a.T @ d_kv[m_v:]
+    if cache.ids:
+        np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
+    m_v = cache.visual.shape[0]
+    grads["visual_proj"] += cache.visual.T @ d_kv[:m_v]
+    if cache.audio.shape[0]:
+        grads["audio_proj"] += cache.audio.T @ d_kv[m_v:]
     if cfg.query_type == "learned":
         grads["learned_queries"] += d_queries
     return GradientBundle(tensors=grads, queries=d_queries)
@@ -571,14 +558,14 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     d_queries_total = np.zeros_like(queries)
     loss = 0.0
     for v_i, a_i in zip(batch.dynamic_visual, batch.dynamic_audio):
-        out = forward(params, queries, v_i, a_i, text=batch.text)
+        out, cache = forward(params, queries, v_i, a_i, text=batch.text, return_cache=True)
         pred = out.mean(axis=0) @ batch.readout
         err = pred - batch.target
         loss += float(err @ err) / err.size
         d_out = np.broadcast_to(
             (2.0 / (n * err.size * k)) * (err @ batch.readout.T), (k, cfg.model_dim)
         )
-        bundle = backward(params, queries, v_i, a_i, d_out, text=batch.text)
+        bundle = _backward(params, cache, d_out)
         for name, g in bundle.tensors.items():
             grads[name] += g
         d_queries_total += bundle.queries
@@ -659,7 +646,12 @@ def load_params(path) -> QFormerParams:
     for _ in range(count):
         name_offset = r.offset
         name_len = r.u16("tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        name_start = r.offset
+        raw_name = r.take(name_len, "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError("tensor name is not valid UTF-8", name_start + exc.start) from exc
         if name not in shapes:
             raise FormatError(f"unexpected tensor {name!r}", name_offset)
         ndim = r.u8("tensor rank")

@@ -8,12 +8,11 @@ kept, ties broken toward the earlier index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateInputError
-from .kernels import cosine_sim
+from .errors import ArgumentError, DegenerateInputError, NumericError
 from .timeline import VideoTimeline
 
 DEFAULT_MAX_SCENES = 24
@@ -24,7 +23,6 @@ DEFAULT_TAU = 0.85
 class SegmenterConfig:
     max_scenes: int = DEFAULT_MAX_SCENES
     tau: float = DEFAULT_TAU
-    descriptor_source: str = "stored"  # or "pooled"
 
     def __post_init__(self):
         if self.max_scenes < 1:
@@ -37,10 +35,15 @@ class SegmenterConfig:
 
 @dataclass(frozen=True)
 class ScenePartition:
-    """Sorted cut indices partitioning [0, frame_count) into scenes."""
+    """Sorted cut indices partitioning [0, frame_count) into scenes.
+
+    ``cut_similarities`` holds the similarity that placed each cut when the
+    partition comes from segment_scenes, and is empty otherwise.
+    """
 
     frame_count: int
     boundaries: tuple[int, ...]
+    cut_similarities: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.frame_count < 1:
@@ -61,15 +64,19 @@ class ScenePartition:
         return tuple((edges[i], edges[i + 1]) for i in range(len(edges) - 1))
 
 
-def frame_similarities(tl: VideoTimeline, source: str = "stored") -> np.ndarray:
-    """Cosine similarity of each consecutive descriptor pair; length T-1."""
-    desc = tl.effective_descriptors(source)
-    t_total = desc.shape[0]
+def frame_similarities(tl: VideoTimeline) -> np.ndarray:
+    """Cosine similarity of each consecutive descriptor pair, clipped into [-1, 1]; length T-1."""
+    desc = tl.descriptors.astype(np.float64)
     norms = np.linalg.norm(desc, axis=1)
+    # finite nonzero norms bound every dot product, so each similarity is finite
+    if not np.isfinite(norms).all():
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise NumericError(f"frame {bad} has a descriptor that is not finite")
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateInputError(f"frame {bad} has a zero-norm descriptor")
-    return np.array([cosine_sim(desc[t], desc[t + 1]) for t in range(t_total - 1)])
+    sims = np.einsum("ij,ij->i", desc[:-1], desc[1:]) / (norms[:-1] * norms[1:])
+    return np.clip(sims, -1.0, 1.0)
 
 
 def select_cuts(similarities: np.ndarray, cfg: SegmenterConfig) -> tuple[int, ...]:
@@ -86,5 +93,6 @@ def select_cuts(similarities: np.ndarray, cfg: SegmenterConfig) -> tuple[int, ..
 def segment_scenes(tl: VideoTimeline, cfg: SegmenterConfig | None = None) -> ScenePartition:
     """Partition the timeline into at most cfg.max_scenes consistent scenes."""
     cfg = cfg or SegmenterConfig()
-    sims = frame_similarities(tl, cfg.descriptor_source)
-    return ScenePartition(tl.frame_count, select_cuts(sims, cfg))
+    sims = frame_similarities(tl)
+    cuts = select_cuts(sims, cfg)
+    return ScenePartition(tl.frame_count, cuts, tuple(float(sims[c - 1]) for c in cuts))

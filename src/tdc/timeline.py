@@ -20,7 +20,7 @@ TDCF container layout (all integers little-endian):
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,22 +119,6 @@ class VideoTimeline:
             self.descriptors[start:stop],
         )
 
-    def effective_descriptors(self, source: str = "stored") -> np.ndarray:
-        """Similarity embeddings as float64: stored vectors or pooled visual tokens."""
-        if source == "stored":
-            return self.descriptors.astype(np.float64)
-        if source == "pooled":
-            return self.visual_tokens.astype(np.float64).mean(axis=1)
-        raise ArgumentError(f"unknown descriptor source {source!r}")
-
-    def equals(self, other: "VideoTimeline") -> bool:
-        """Bitwise equality of all stored float32 payloads."""
-        return (
-            np.array_equal(self.visual_tokens, other.visual_tokens)
-            and np.array_equal(self.audio_tokens, other.audio_tokens)
-            and np.array_equal(self.descriptors, other.descriptors)
-        )
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -149,7 +133,6 @@ class SynthSpec:
     audio_dim: int = DEFAULT_DIM
     descriptor_dim: int = DEFAULT_DIM
     noise: float = DEFAULT_NOISE
-    descriptor_centers: np.ndarray | None = field(default=None, compare=False)
 
 
 def _scene_of_frame(boundaries: tuple[int, ...], t: int) -> int:
@@ -187,17 +170,7 @@ def synth_generate(spec: SynthSpec) -> VideoTimeline:
     n_scenes = len(bounds) + 1
 
     rng = np.random.default_rng(spec.seed)
-    if spec.descriptor_centers is not None:
-        centers_d = np.asarray(spec.descriptor_centers, dtype=np.float64)
-        if centers_d.shape != (n_scenes, spec.descriptor_dim):
-            raise ArgumentError(
-                f"descriptor_centers shape {centers_d.shape} does not match "
-                f"({n_scenes}, {spec.descriptor_dim})"
-            )
-        # keep the rng stream identical whether or not centers are supplied
-        _descriptor_centers(rng, n_scenes, spec.descriptor_dim)
-    else:
-        centers_d = _descriptor_centers(rng, n_scenes, spec.descriptor_dim)
+    centers_d = _descriptor_centers(rng, n_scenes, spec.descriptor_dim)
 
     centers_v = rng.standard_normal((n_scenes, spec.visual_dim))
     centers_a = rng.standard_normal((n_scenes, spec.audio_dim))

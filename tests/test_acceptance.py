@@ -200,7 +200,7 @@ def test_criterion_08_lvcot_golden_trace():
             model_dim=16, heads=2, layers=1, queries=3, visual_dim=8, audio_dim=8, seed=1
         )
         ctx = tdc.CompressionContext(params=tdc.init_params(cfg), window_length=4)
-        mock = tdc.mock_script(["A", "B", "C", "D"])
+        mock = tdc.MockAnswerer(["A", "B", "C", "D"])
         trace = tdc.run_lvcot(tl, "who scores first?", mock, tdc.LVCoTConfig(), ctx)
         assert trace.spans == ((0, 30), (30, 60), (60, 90))
         spans_cover = [s for span in trace.spans for s in range(*span)]

@@ -127,6 +127,32 @@ def test_exit_code_numeric(capsys, tmp_path):
     assert main(["segment", "--input", str(path)]) == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_segment_nonfinite_descriptor_is_numeric(capsys, tmp_path, bad):
+    desc = np.ones((5, 4), dtype=np.float32)
+    desc[3, 1] = bad
+    tl = tdc.VideoTimeline(np.ones((5, 2, 4), dtype=np.float32), np.ones((5, 1, 4), dtype=np.float32), desc)
+    path = tmp_path / "nonfinite.tdcf"
+    tdc.write_tdcf(tl, path)
+    code, _, err = run(capsys, "segment", "--input", str(path))
+    assert code == 3
+    assert "not finite" in err and "frame 3" in err
+
+
+def test_compress_nonfinite_token_is_numeric_and_writes_nothing(capsys, tmp_path):
+    tl = tdc.synth_generate(tdc.SynthSpec(seed=1, frames=20))
+    visual = tl.visual_tokens.copy()
+    visual[3, 0, 0] = np.inf
+    path = tmp_path / "inf.tdcf"
+    tdc.write_tdcf(tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors), path)
+    out = tmp_path / "s.tdcs"
+    with np.errstate(invalid="ignore", over="ignore"):
+        code, _, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
+    assert code == 3
+    assert "not finite" in err and "frame 3" in err
+    assert not out.exists()
+
+
 def test_exit_code_orchestration(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, frames=9, boundaries="")
     capsys.readouterr()

@@ -87,10 +87,10 @@ def test_compress_frame_is_pure_and_text_sensitive():
     queries = rng.standard_normal((3, 16))
     v = rng.standard_normal((6, 8))
     a = rng.standard_normal((4, 8))
-    out1 = tdc.compress_frame(params, queries, v, a)
-    out2 = tdc.compress_frame(params, queries, v, a)
+    out1 = tdc.forward(params, queries, v, a)
+    out2 = tdc.forward(params, queries, v, a)
     np.testing.assert_array_equal(out1, out2)
-    out_text = tdc.compress_frame(params, queries, v, a, text=tdc.tokenize_text("find the cat"))
+    out_text = tdc.forward(params, queries, v, a, text=tdc.tokenize_text("find the cat"))
     assert np.abs(out_text - out1).max() > 0.0
 
 

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 import tdc
 from tdc.compressor import Provenance
-from tdc.errors import ArgumentError, OrchestrationError
+from tdc.errors import ArgumentError, NumericError, OrchestrationError
 
 
 class CountingEcho(tdc.EchoAnswerer):
@@ -63,7 +64,7 @@ def test_split_spans_partition_properties(seconds, segments):
 
 def test_golden_trace_with_mock_answerer():
     tl = small_timeline(90, boundaries=(30, 60), seed=9)
-    mock = tdc.mock_script(["A", "B", "C", "D"])
+    mock = tdc.MockAnswerer(["A", "B", "C", "D"])
     trace = tdc.run_lvcot(tl, "who scores first?", mock, tdc.LVCoTConfig(segments=3), small_context())
     assert trace.spans == ((0, 30), (30, 60), (60, 90))
     assert trace.segment_answers == ("A", "B", "C")
@@ -100,13 +101,13 @@ def test_answerer_called_exactly_m_plus_one_times():
 def test_exhausted_script_names_the_failing_call():
     tl = small_timeline(20, seed=5)
     with pytest.raises(OrchestrationError, match="segment 2"):
-        tdc.run_lvcot(tl, "q", tdc.mock_script(["A", "B"]), tdc.LVCoTConfig(segments=3), small_context())
+        tdc.run_lvcot(tl, "q", tdc.MockAnswerer(["A", "B"]), tdc.LVCoTConfig(segments=3), small_context())
     with pytest.raises(OrchestrationError, match="final"):
-        tdc.run_lvcot(tl, "q", tdc.mock_script(["A", "B", "C"]), tdc.LVCoTConfig(segments=3), small_context())
+        tdc.run_lvcot(tl, "q", tdc.MockAnswerer(["A", "B", "C"]), tdc.LVCoTConfig(segments=3), small_context())
 
 
 def test_mock_script_consumed_exactly():
-    mock = tdc.mock_script(["x", "y"])
+    mock = tdc.MockAnswerer(["x", "y"])
     stream = None
     assert mock.answer("p", stream) == "x"
     assert mock.answer("p", stream) == "y"
@@ -127,6 +128,17 @@ def test_segment_streams_cover_every_frame_once():
         mask = stream.provenance != int(Provenance.SEP)
         seen.extend(start + f for f in set(stream.frame_index[mask]))
     assert sorted(seen) == list(range(23))
+
+
+def test_nonfinite_stream_never_reaches_the_answerer():
+    tl = small_timeline(12, seed=8)
+    visual = tl.visual_tokens.copy()
+    visual[9, 0, 0] = np.nan
+    tl = tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors)
+    echo = CountingEcho()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=r"segment 1 \(6s-12s.*frame 3 "):
+        tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=2), small_context())
+    assert echo.calls == 1  # only the finite first span was answered
 
 
 def test_question_feeds_text_conditioning():

@@ -113,7 +113,7 @@ def test_zeroed_value_and_ffn_output_weights_reduce_to_ln_of_queries():
     out1 = tdc.forward(params, q, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)), text=text)
     out2 = tdc.forward(params, q, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)), text=text)
     # residual-only reference: the final norm applied to the raw queries
-    ref = kernels.layer_norm(q, params["final_norm.gamma"], params["final_norm.beta"], eps=qformer.LN_EPS)
+    ref, _ = kernels.layer_norm(q, params["final_norm.gamma"], params["final_norm.beta"], eps=qformer.LN_EPS)
     np.testing.assert_allclose(out1, ref, atol=1e-12)
     np.testing.assert_allclose(out2, ref, atol=1e-12)
 
@@ -265,3 +265,16 @@ def test_checkpoint_parse_errors(tmp_path):
     bad.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncatedPayloadError):
         tdc.load_params(bad)
+
+
+def test_checkpoint_non_utf8_tensor_name(tmp_path):
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config()), path)
+    raw = bytearray(path.read_bytes())
+    name_at = raw.index(b"visual_proj")
+    raw[name_at] = 0xFF
+    bad = tmp_path / "bad.tdcp"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="UTF-8") as err:
+        tdc.load_params(bad)
+    assert err.value.offset == name_at

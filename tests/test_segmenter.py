@@ -37,6 +37,25 @@ def test_similarities_reject_zero_descriptor():
         tdc.frame_similarities(tl)
 
 
+def cosine_loop(desc):
+    """Per-pair reference for the vectorised similarities: one cosine per pair."""
+    desc = np.asarray(desc, dtype=np.float64)
+    out = []
+    for u, v in zip(desc[:-1], desc[1:]):
+        out.append(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
+    return np.array(out)
+
+
+@given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 40), dim=st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_similarities_match_per_pair_loop(seed, frames, dim):
+    rng = np.random.default_rng(seed)
+    desc = rng.standard_normal((frames, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(frames, 1))
+    tl = descriptor_timeline(desc)
+    # summation order differs from the loop, so agreement is to rounding only
+    np.testing.assert_allclose(tdc.frame_similarities(tl), cosine_loop(tl.descriptors), rtol=0, atol=1e-12)
+
+
 def test_identical_frames_give_single_scene():
     tl = descriptor_timeline(np.tile([0.5, 0.5], (20, 1)))
     part = tdc.segment_scenes(tl, tdc.SegmenterConfig(tau=0.99))
@@ -85,6 +104,7 @@ def test_matches_brute_force_oracle(seed, frames, tau, max_scenes):
     cfg = tdc.SegmenterConfig(max_scenes=max_scenes, tau=tau)
     part = tdc.segment_scenes(tl, cfg)
     assert part.boundaries == brute_force_cuts(sims, tau, max_scenes)
+    assert part.cut_similarities == tuple(float(sims[b - 1]) for b in part.boundaries)
     # partition covers [0, frames) disjointly with nonempty scenes
     assert part.scene_count <= max_scenes
     covered = []

@@ -37,7 +37,9 @@ def test_instruction_tokens_reject_out_of_vocab():
 
 def test_synth_deterministic():
     spec = tdc.SynthSpec(seed=42, frames=12, boundaries=(5,))
-    assert tdc.synth_generate(spec).equals(tdc.synth_generate(spec))
+    a, b = tdc.synth_generate(spec), tdc.synth_generate(spec)
+    for name in ("visual_tokens", "audio_tokens", "descriptors"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_synth_default_shapes():
@@ -77,14 +79,6 @@ def test_slice_matches_source():
     np.testing.assert_array_equal(sub.visual_tokens, tl.visual_tokens[3:7])
     with pytest.raises(ArgumentError):
         tl.slice(7, 3)
-
-
-def test_pooled_descriptor_mode():
-    tl = tdc.synth_generate(tdc.SynthSpec(seed=1, frames=4))
-    pooled = tl.effective_descriptors("pooled")
-    np.testing.assert_allclose(pooled, tl.visual_tokens.astype(np.float64).mean(axis=1))
-    with pytest.raises(ArgumentError):
-        tl.effective_descriptors("cls")
 
 
 def test_timeline_arrays_are_frozen():
