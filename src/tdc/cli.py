@@ -63,36 +63,31 @@ def _build_parser() -> _Parser:
     gen.add_argument("--dims", type=int, default=timeline.DEFAULT_DIM,
                      help="visual/audio/descriptor embedding dim (design default)")
 
-    seg = sub.add_parser("segment", help="report scene cuts for a timeline file")
-    seg.add_argument("--input", required=True)
-    seg.add_argument("--max-segments", type=int, default=segmenter.DEFAULT_MAX_SCENES)
-    seg.add_argument("--tau", type=float, default=segmenter.DEFAULT_TAU)
+    # options shared by the subcommands that read a timeline file
+    scenes = _Parser(add_help=False)
+    scenes.add_argument("--input", required=True)
+    scenes.add_argument("--max-segments", type=int, default=segmenter.DEFAULT_MAX_SCENES)
+    scenes.add_argument("--tau", type=float, default=segmenter.DEFAULT_TAU)
+    windows = _Parser(add_help=False, parents=[scenes])
+    windows.add_argument("--window", type=int, default=compressor.DEFAULT_WINDOW)
+    windows.add_argument("--k", type=int, default=16, help="query tokens per dynamic frame")
+    model = _Parser(add_help=False)
+    model.add_argument("--seed", type=int, default=0, help="compressor parameter seed")
+    model.add_argument("--query-type", choices=qformer.QUERY_TYPES, default="avgpool")
 
-    for name, needs_output in (("compress", True), ("budget", False)):
-        p = sub.add_parser(name, help=f"{name} a timeline file")
-        p.add_argument("--input", required=True)
-        if needs_output:
-            p.add_argument("--output", required=True)
-            p.add_argument("--seed", type=int, default=0, help="compressor parameter seed")
-            p.add_argument("--query-type", choices=qformer.QUERY_TYPES, default="avgpool")
-            p.add_argument("--text", default=None, help="instruction text for conditioned compression")
-        p.add_argument("--max-segments", type=int, default=segmenter.DEFAULT_MAX_SCENES)
-        p.add_argument("--tau", type=float, default=segmenter.DEFAULT_TAU)
-        p.add_argument("--window", type=int, default=compressor.DEFAULT_WINDOW)
-        p.add_argument("--k", type=int, default=16, help="query tokens per dynamic frame")
+    sub.add_parser("segment", parents=[scenes], help="report scene cuts for a timeline file")
 
-    lv = sub.add_parser("lvcot", help="segment-then-integrate question answering")
-    lv.add_argument("--input", required=True)
+    comp = sub.add_parser("compress", parents=[windows, model], help="compress a timeline file")
+    comp.add_argument("--output", required=True)
+    comp.add_argument("--text", default=None, help="instruction text for conditioned compression")
+
+    sub.add_parser("budget", parents=[windows], help="budget a timeline file")
+
+    lv = sub.add_parser("lvcot", parents=[windows, model], help="segment-then-integrate question answering")
     lv.add_argument("--text", required=True, help="the question")
     lv.add_argument("--segments", type=int, default=lvcot.DEFAULT_SEGMENTS)
     lv.add_argument("--answerer", choices=("mock", "echo"), default="echo")
     lv.add_argument("--script", default=None, help="JSON list of scripted answers (mock)")
-    lv.add_argument("--seed", type=int, default=0)
-    lv.add_argument("--max-segments", type=int, default=segmenter.DEFAULT_MAX_SCENES)
-    lv.add_argument("--tau", type=float, default=segmenter.DEFAULT_TAU)
-    lv.add_argument("--window", type=int, default=compressor.DEFAULT_WINDOW)
-    lv.add_argument("--k", type=int, default=16)
-    lv.add_argument("--query-type", choices=qformer.QUERY_TYPES, default="avgpool")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     gc.add_argument("--seed", type=int, default=0)

@@ -128,16 +128,18 @@ def assemble_tdc(
         frames.append(np.full(n, frame, dtype=np.int32))
         windows.append(np.full(n, window, dtype=np.int32))
 
-    for w_idx, window in enumerate(plan.windows):
-        s = window.static_frame
-        queries = qformer.build_queries(params, visual[s])
-        emit(visual[s] @ w_v, Provenance.STATIC_VISUAL, s, w_idx)
-        if audio.shape[1] > 0:
-            emit(audio[s] @ w_a, Provenance.STATIC_AUDIO, s, w_idx)
-        emit(sep.copy(), Provenance.SEP, -1, w_idx)
-        for f in window.dynamic_frames:
-            out = qformer.forward(params, queries, visual[f], audio[f], text=text)
-            emit(out, Provenance.DYNAMIC, f, w_idx)
+    # a non-finite input is reported once, by the stream check below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w_idx, window in enumerate(plan.windows):
+            s = window.static_frame
+            queries = qformer.build_queries(params, visual[s])
+            emit(visual[s] @ w_v, Provenance.STATIC_VISUAL, s, w_idx)
+            if audio.shape[1] > 0:
+                emit(audio[s] @ w_a, Provenance.STATIC_AUDIO, s, w_idx)
+            emit(sep.copy(), Provenance.SEP, -1, w_idx)
+            for f in window.dynamic_frames:
+                out = qformer.forward(params, queries, visual[f], audio[f], text=text)
+                emit(out, Provenance.DYNAMIC, f, w_idx)
 
     stream = TDCStream(
         tokens=np.vstack(chunks),

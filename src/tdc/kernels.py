@@ -1,8 +1,8 @@
 """Dense numeric kernels used by every other module.
 
 All kernels compute in 64-bit IEEE-754 regardless of input dtype, return
-fresh float64 arrays and never mutate their inputs.  Matrices are plain
-2-D numpy arrays in row-major layout.
+fresh float64 arrays and never mutate their inputs.  Row-wise kernels work
+on the last axis, so a stack of matrices (..., rows, cols) is one call.
 """
 
 from __future__ import annotations
@@ -25,47 +25,51 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, computed with max-subtraction for stability.
+    """Softmax over the last axis, computed with max-subtraction for stability.
 
     Every output row is nonnegative and sums to 1 to within 1e-9 even for
     inputs with entries of magnitude ~1e4.
     """
-    a = as_matrix(m)
-    shifted = a - a.max(axis=1, keepdims=True)
+    a = np.asarray(m, dtype=np.float64)
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm(m, gamma, beta, eps: float = 1e-5):
-    """Per-row normalization to mean 0 / variance 1, then affine gamma*x + beta.
+    """Normalization of each last-axis row to mean 0 / variance 1, then gamma*x + beta.
 
     Returns (output, cache); the cache (normalized rows, per-row reciprocal
     standard deviation) is what layer_norm_grad needs.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
     g = np.asarray(gamma, dtype=np.float64).ravel()
     b = np.asarray(beta, dtype=np.float64).ravel()
-    if g.shape[0] != a.shape[1] or b.shape[0] != a.shape[1]:
+    if g.shape[0] != a.shape[-1] or b.shape[0] != a.shape[-1]:
         raise ShapeError(
-            f"gamma/beta lengths {g.shape[0]}/{b.shape[0]} do not match {a.shape[1]} columns"
+            f"gamma/beta lengths {g.shape[0]}/{b.shape[0]} do not match {a.shape[-1]} columns"
         )
     if not eps > 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
-    centered = a - a.mean(axis=1, keepdims=True)
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    centered = a - a.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     return xhat * g + b, (xhat, inv)
 
 
 def layer_norm_grad(dy, cache, gamma):
-    """Gradients (d input, d gamma, d beta) of layer_norm for upstream dy."""
+    """Gradients (d input, d gamma, d beta) of layer_norm for upstream dy.
+
+    d gamma and d beta are summed over every row of every leading axis.
+    """
     xhat, inv = cache
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    d = xhat.shape[-1]
+    dgamma = (dy * xhat).reshape(-1, d).sum(axis=0)
+    dbeta = dy.reshape(-1, d).sum(axis=0)
     dxhat = dy * gamma
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 
@@ -93,7 +97,8 @@ def pool_group_sizes(rows: int, k: int) -> list[int]:
 
 
 def pool_matrix(rows: int, k: int) -> np.ndarray:
-    """The (k x rows) averaging matrix P with mean_pool_groups(m, k) == P @ m."""
+    """The (k x rows) matrix P whose product P @ m averages k contiguous
+    near-equal row groups of m (larger groups first)."""
     sizes = pool_group_sizes(rows, k)
     p = np.zeros((k, rows))
     start = 0
@@ -101,13 +106,4 @@ def pool_matrix(rows: int, k: int) -> np.ndarray:
         p[g, start : start + size] = 1.0 / size
         start += size
     return p
-
-
-def mean_pool_groups(m, k: int) -> np.ndarray:
-    """Average k contiguous near-equal row groups (larger groups first)."""
-    a = as_matrix(m)
-    sizes = pool_group_sizes(a.shape[0], k)
-    starts = np.cumsum([0] + sizes[:-1])
-    sums = np.add.reduceat(a, starts, axis=0)
-    return sums / np.asarray(sizes, dtype=np.float64)[:, None]
 

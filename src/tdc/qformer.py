@@ -10,10 +10,11 @@ Architecture (per layer, pre-norm residual blocks):
 A final layer norm is applied and the first K rows are the output.  No
 positional encoding is applied anywhere; key/value tokens form a set.
 
-Both a forward pass and a full analytic backward pass are provided; the
-backward treats the query matrix as an input (its gradient is reported
-separately) except in learned-query mode, where the query input is the
-``learned_queries`` parameter itself and receives that gradient.
+One forward and one analytic backward serve a single frame and a stack of
+frames that share the queries and text.  The backward treats the query
+matrix as an input (its gradient is reported separately) except in
+learned-query mode, where the query input is the ``learned_queries``
+parameter itself and receives that gradient.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ PARAMS_MAGIC = b"TDCP"
 PARAMS_VERSION = 1
 LN_EPS = 1e-5
 GRAD_CHECK_THRESHOLD = 1e-5
+GRAD_CHECK_STEP = 1e-5  # central-difference step
 QUERY_TYPES = ("avgpool", "learned")
 
 
@@ -44,7 +46,6 @@ class QFormerConfig:
     queries: int = 16
     query_type: str = "avgpool"
     text_conditioning: bool = False
-    vocab: int = VOCAB_SIZE
     visual_dim: int = 32
     audio_dim: int = 32
     seed: int = 0
@@ -62,8 +63,8 @@ class QFormerConfig:
             raise ArgumentError(f"queries must be >= 1, got {self.queries}")
         if self.query_type not in QUERY_TYPES:
             raise ArgumentError(f"query_type must be one of {QUERY_TYPES}, got {self.query_type!r}")
-        if min(self.vocab, self.visual_dim, self.audio_dim) < 1:
-            raise ArgumentError("vocab and input dims must be >= 1")
+        if min(self.visual_dim, self.audio_dim) < 1:
+            raise ArgumentError("input dims must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -96,7 +97,7 @@ def expected_shapes(cfg: QFormerConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {
         "visual_proj": (cfg.visual_dim, d),
         "audio_proj": (cfg.audio_dim, d),
-        "text_embed": (cfg.vocab, d),
+        "text_embed": (VOCAB_SIZE, d),
         "learned_queries": (cfg.queries, d),
         "sep": (1, d),
     }
@@ -175,7 +176,7 @@ def build_queries(params: QFormerParams, static_visual) -> np.ndarray:
         raise ArgumentError(
             f"cannot pool {static.shape[0]} static tokens into {cfg.queries} queries"
         )
-    return kernels.mean_pool_groups(static @ params["visual_proj"], cfg.queries)
+    return (kernels.pool_matrix(static.shape[0], cfg.queries) @ static) @ params["visual_proj"]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +189,8 @@ class _AttnCache(NamedTuple):
     qh: np.ndarray
     kh: np.ndarray
     vh: np.ndarray
-    probs: np.ndarray  # (H, n_q, n_kv)
-    ctx: np.ndarray  # (H, n_q, head_dim), pre-output-projection
+    probs: np.ndarray  # (..., H, n_q, n_kv)
+    ctx: np.ndarray  # (..., H, n_q, head_dim), pre-output-projection
     merged: np.ndarray
 
 
@@ -215,18 +216,22 @@ class _ForwardCache(NamedTuple):
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
-def _softmax_last(s: np.ndarray) -> np.ndarray:
-    flat = kernels.softmax_rows(s.reshape(-1, s.shape[-1]))
-    return flat.reshape(s.shape)
+def _rows(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, x.shape[-1])
+
+
+def _weight_grad(x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
+    """Gradient of W in y = x @ W, summed over every row of every frame."""
+    return _rows(x).T @ _rows(d_y)
 
 
 def _attn_forward(q_in, kv_in, wq, wk, wv, wo, heads):
@@ -234,30 +239,30 @@ def _attn_forward(q_in, kv_in, wq, wk, wv, wo, heads):
     qh = _split_heads(q_in @ wq, heads)
     kh = _split_heads(kv_in @ wk, heads)
     vh = _split_heads(kv_in @ wv, heads)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    probs = _softmax_last(scores)
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(dh)
+    probs = kernels.softmax_rows(scores)
     ctx = probs @ vh
     merged = _merge_heads(ctx)
     return merged @ wo, _AttnCache(q_in, kv_in, qh, kh, vh, probs, ctx, merged)
 
 
 def _attn_backward(d_out, cache: _AttnCache, wq, wk, wv, wo):
-    scale = 1.0 / np.sqrt(cache.qh.shape[2])
-    d_wo = cache.merged.T @ d_out
-    d_ctx = _split_heads(d_out @ wo.T, cache.qh.shape[0])
-    d_probs = d_ctx @ cache.vh.transpose(0, 2, 1)
-    d_vh = cache.probs.transpose(0, 2, 1) @ d_ctx
-    d_scores = cache.probs * (d_probs - (d_probs * cache.probs).sum(axis=2, keepdims=True))
+    scale = 1.0 / np.sqrt(cache.qh.shape[-1])
+    d_wo = _weight_grad(cache.merged, d_out)
+    d_ctx = _split_heads(d_out @ wo.T, cache.qh.shape[-3])
+    d_probs = d_ctx @ cache.vh.swapaxes(-1, -2)
+    d_vh = cache.probs.swapaxes(-1, -2) @ d_ctx
+    d_scores = cache.probs * (d_probs - (d_probs * cache.probs).sum(axis=-1, keepdims=True))
     d_scores *= scale
     d_qh = d_scores @ cache.kh
-    d_kh = d_scores.transpose(0, 2, 1) @ cache.qh
+    d_kh = d_scores.swapaxes(-1, -2) @ cache.qh
     d_qf = _merge_heads(d_qh)
     d_kf = _merge_heads(d_kh)
     d_vf = _merge_heads(d_vh)
     weight_grads = {
-        "wq": cache.q_in.T @ d_qf,
-        "wk": cache.kv_in.T @ d_kf,
-        "wv": cache.kv_in.T @ d_vf,
+        "wq": _weight_grad(cache.q_in, d_qf),
+        "wk": _weight_grad(cache.kv_in, d_kf),
+        "wv": _weight_grad(cache.kv_in, d_vf),
         "wo": d_wo,
     }
     d_q_in = d_qf @ wq.T
@@ -272,13 +277,15 @@ def _check_inputs(params: QFormerParams, queries, visual, audio, text):
         raise ShapeError(
             f"queries shape {q.shape} does not match ({cfg.queries}, {cfg.model_dim})"
         )
-    v = kernels.as_matrix(visual, "visual tokens")
-    if v.shape[1] != cfg.visual_dim:
-        raise ShapeError(f"visual dim {v.shape[1]} does not match config {cfg.visual_dim}")
-    a = kernels.as_matrix(audio, "audio tokens")
-    if a.shape[0] > 0 and a.shape[1] != cfg.audio_dim:
-        raise ShapeError(f"audio dim {a.shape[1]} does not match config {cfg.audio_dim}")
-    if v.shape[0] + a.shape[0] == 0:
+    v = np.asarray(visual, dtype=np.float64)
+    a = np.asarray(audio, dtype=np.float64)
+    if v.ndim not in (2, 3) or a.ndim != v.ndim or a.shape[:-2] != v.shape[:-2]:
+        raise ShapeError(f"visual {v.shape} and audio {a.shape} are not both (m, d) or both (F, m, d)")
+    if v.shape[-1] != cfg.visual_dim:
+        raise ShapeError(f"visual dim {v.shape[-1]} does not match config {cfg.visual_dim}")
+    if a.shape[-2] > 0 and a.shape[-1] != cfg.audio_dim:
+        raise ShapeError(f"audio dim {a.shape[-1]} does not match config {cfg.audio_dim}")
+    if v.shape[-2] + a.shape[-2] == 0:
         raise ShapeError("cross-attention needs at least one visual or audio token")
     ids: tuple[int, ...] = ()
     if cfg.text_conditioning and text is not None:
@@ -287,20 +294,21 @@ def _check_inputs(params: QFormerParams, queries, visual, audio, text):
 
 
 def forward(params: QFormerParams, queries, visual, audio, text=None, return_cache=False):
-    """Compress one frame's tokens into K query outputs of the model dim.
+    """Compress one frame, visual (m_v, d_v) and audio (m_a, d_a), into (K, d);
+    or a stack (F, m_v, d_v), (F, m_a, d_a) sharing queries and text into (F, K, d).
 
-    With ``return_cache`` the result is (output, cache), and the cache feeds
-    the backward pass without running this forward again.
+    With ``return_cache`` the result is (output, cache) for ``backward``.
     """
     cfg = params.cfg
     t = params.tensors
     q, v, a, ids = _check_inputs(params, queries, visual, audio, text)
     k = cfg.queries
+    lead = v.shape[:-2]
 
     emb = t["text_embed"][np.asarray(ids, dtype=np.intp)] if ids else np.zeros((0, cfg.model_dim))
-    x = np.vstack([q, emb])
-    kv_a = a @ t["audio_proj"] if a.shape[0] else np.zeros((0, cfg.model_dim))
-    kv = np.vstack([v @ t["visual_proj"], kv_a])
+    x = np.broadcast_to(np.vstack([q, emb]), lead + (k + len(ids), cfg.model_dim))
+    kv_a = a @ t["audio_proj"] if a.shape[-2] else np.zeros(lead + (0, cfg.model_dim))
+    kv = np.concatenate([v @ t["visual_proj"], kv_a], axis=-2)
 
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
@@ -313,10 +321,10 @@ def forward(params: QFormerParams, queries, visual, audio, text=None, return_cac
 
         h2, ln2 = kernels.layer_norm(x, t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"], LN_EPS)
         ca, cross_cache = _attn_forward(
-            h2[:k], kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
+            h2[..., :k, :], kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
         )
         x = x.copy()
-        x[:k] += ca
+        x[..., :k, :] += ca
 
         h3, ln3 = kernels.layer_norm(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"], LN_EPS)
         u = h3 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
@@ -325,39 +333,35 @@ def forward(params: QFormerParams, queries, visual, audio, text=None, return_cac
 
         layer_caches.append(_LayerCache(ln1, self_cache, ln2, cross_cache, ln3, h3, u, g))
 
-    out, final_ln = kernels.layer_norm(x[:k], t["final_norm.gamma"], t["final_norm.beta"], LN_EPS)
+    out, final_ln = kernels.layer_norm(x[..., :k, :], t["final_norm.gamma"], t["final_norm.beta"], LN_EPS)
     if return_cache:
-        return out, _ForwardCache(v, a, ids, kv, x.shape[0], layer_caches, final_ln)
+        return out, _ForwardCache(v, a, ids, kv, x.shape[-2], layer_caches, final_ln)
     return out
 
 
-def backward(params: QFormerParams, queries, visual, audio, upstream, text=None) -> GradientBundle:
-    """Analytic gradients of <upstream, forward(...)> for every parameter tensor.
+def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> GradientBundle:
+    """Analytic gradients of <upstream, output> for the forward call that made ``cache``.
 
-    The query matrix is treated as an input; its gradient is returned in
-    ``bundle.queries``.  In learned-query mode that input *is* the
-    ``learned_queries`` parameter, which therefore also receives the gradient.
+    A stack's gradients are sums over its frames.  The query matrix is
+    treated as an input; its gradient is returned in ``bundle.queries``.  In
+    learned-query mode that input *is* the ``learned_queries`` parameter,
+    which therefore also receives the gradient.
     """
     cfg = params.cfg
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != (cfg.queries, cfg.model_dim):
-        raise ShapeError(f"upstream shape {up.shape} does not match ({cfg.queries}, {cfg.model_dim})")
-    _, cache = forward(params, queries, visual, audio, text, return_cache=True)
-    return _backward(params, cache, up)
-
-
-def _backward(params: QFormerParams, cache: _ForwardCache, up: np.ndarray) -> GradientBundle:
-    cfg = params.cfg
     t = params.tensors
-    k = cfg.queries
+    k, d = cfg.queries, cfg.model_dim
+    lead = cache.kv.shape[:-2]
+    up = np.asarray(upstream, dtype=np.float64)
+    if up.shape != lead + (k, d):
+        raise ShapeError(f"upstream shape {up.shape} does not match output shape {lead + (k, d)}")
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
 
     d_rows, d_gamma, d_beta = kernels.layer_norm_grad(up, cache.final_ln, t["final_norm.gamma"])
     grads["final_norm.gamma"] += d_gamma
     grads["final_norm.beta"] += d_beta
 
-    d_x = np.zeros((cache.n_rows, cfg.model_dim))
-    d_x[:k] = d_rows
+    d_x = np.zeros(lead + (cache.n_rows, d))
+    d_x[..., :k, :] = d_rows
     d_kv = np.zeros_like(cache.kv)
 
     for i in reversed(range(cfg.layers)):
@@ -367,11 +371,11 @@ def _backward(params: QFormerParams, cache: _ForwardCache, up: np.ndarray) -> Gr
         # FFN block
         d_f = d_x
         d_g = d_f @ t[p + "ffn.w2"].T
-        grads[p + "ffn.w2"] += lc.g.T @ d_f
-        grads[p + "ffn.b2"] += d_f.sum(axis=0)
+        grads[p + "ffn.w2"] += _weight_grad(lc.g, d_f)
+        grads[p + "ffn.b2"] += _rows(d_f).sum(axis=0)
         d_u = d_g * kernels.gelu_grad(lc.u)
-        grads[p + "ffn.w1"] += lc.h3.T @ d_u
-        grads[p + "ffn.b1"] += d_u.sum(axis=0)
+        grads[p + "ffn.w1"] += _weight_grad(lc.h3, d_u)
+        grads[p + "ffn.b1"] += _rows(d_u).sum(axis=0)
         d_h3 = d_u @ t[p + "ffn.w1"].T
         d_x3, d_gamma, d_beta = kernels.layer_norm_grad(d_h3, lc.ln3, t[p + "ffn_norm.gamma"])
         grads[p + "ffn_norm.gamma"] += d_gamma
@@ -380,13 +384,13 @@ def _backward(params: QFormerParams, cache: _ForwardCache, up: np.ndarray) -> Gr
 
         # cross-attention block (query rows only)
         d_q_in, d_kv_in, wgrads = _attn_backward(
-            d_x[:k], lc.cross, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"]
+            d_x[..., :k, :], lc.cross, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"]
         )
         for w, g_ in wgrads.items():
             grads[p + "cross." + w] += g_
         d_kv += d_kv_in
         d_h2 = np.zeros_like(d_x)
-        d_h2[:k] = d_q_in
+        d_h2[..., :k, :] = d_q_in
         d_x2, d_gamma, d_beta = kernels.layer_norm_grad(d_h2, lc.ln2, t[p + "cross_norm.gamma"])
         grads[p + "cross_norm.gamma"] += d_gamma
         grads[p + "cross_norm.beta"] += d_beta
@@ -404,13 +408,15 @@ def _backward(params: QFormerParams, cache: _ForwardCache, up: np.ndarray) -> Gr
         grads[p + "self_norm.beta"] += d_beta
         d_x = d_x + d_x1
 
-    d_queries = d_x[:k].copy()
+    # every frame starts from the same query and text rows
+    d_x = d_x.reshape(-1, cache.n_rows, d).sum(axis=0)
+    d_queries = d_x[:k]
     if cache.ids:
         np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
-    m_v = cache.visual.shape[0]
-    grads["visual_proj"] += cache.visual.T @ d_kv[:m_v]
-    if cache.audio.shape[0]:
-        grads["audio_proj"] += cache.audio.T @ d_kv[m_v:]
+    m_v = cache.visual.shape[-2]
+    grads["visual_proj"] += _weight_grad(cache.visual, d_kv[..., :m_v, :])
+    if cache.audio.shape[-2]:
+        grads["audio_proj"] += _weight_grad(cache.audio, d_kv[..., m_v:, :])
     if cfg.query_type == "learned":
         grads["learned_queries"] += d_queries
     return GradientBundle(tensors=grads, queries=d_queries)
@@ -428,19 +434,13 @@ class GradCheckReport:
     passed: bool
 
 
-def grad_check(
-    cfg: QFormerConfig | None = None,
-    seed: int = 0,
-    step: float = 1e-5,
-    corrupt: str | None = None,
-) -> GradCheckReport:
+def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckReport:
     """Compare the analytic backward against central finite differences.
 
     Relative error per tensor is max|analytic - fd| / max(|analytic|, |fd|, 1e-8)
     over its entries.  Rows of the text-embedding table that the probe text
     never references are skipped: the loss provably does not depend on them,
-    so both sides are identically zero.  ``corrupt`` perturbs the named
-    tensor's analytic gradient (a test hook for fault injection).
+    so both sides are identically zero.  The probe is a single frame.
     """
     cfg = cfg or small_config()
     params = init_params(replace(cfg, seed=seed))
@@ -450,26 +450,21 @@ def grad_check(
     text = None
     used_rows: set[int] = set()
     if cfg.text_conditioning:
-        ids = tuple(int(i) for i in rng.integers(0, cfg.vocab, size=3))
+        ids = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=3))
         text = InstructionTokens(ids)
         used_rows = set(ids)
+    # learned queries alias the parameter, so the probes below perturb them too
     if cfg.query_type == "learned":
-        fixed_queries = None
+        queries = params["learned_queries"]
     else:
-        fixed_queries = rng.standard_normal((cfg.queries, cfg.model_dim))
+        queries = rng.standard_normal((cfg.queries, cfg.model_dim))
     upstream = rng.standard_normal((cfg.queries, cfg.model_dim))
 
-    def current_queries():
-        return params["learned_queries"] if fixed_queries is None else fixed_queries
-
     def loss() -> float:
-        out = forward(params, current_queries(), visual, audio, text=text)
-        return float(np.sum(upstream * out))
+        return float(np.sum(upstream * forward(params, queries, visual, audio, text=text)))
 
-    bundle = backward(params, current_queries(), visual, audio, upstream, text=text)
-    analytic = {name: g.copy() for name, g in bundle.tensors.items()}
-    if corrupt is not None:
-        analytic[corrupt] = analytic[corrupt] + 1e-2 * (1.0 + np.abs(analytic[corrupt]))
+    _, cache = forward(params, queries, visual, audio, text=text, return_cache=True)
+    analytic = backward(params, cache, upstream).tensors
 
     per_tensor: dict[str, float] = {}
     for name, tensor in params.tensors.items():
@@ -478,12 +473,12 @@ def grad_check(
             if name == "text_embed" and idx[0] not in used_rows:
                 continue
             original = tensor[idx]
-            tensor[idx] = original + step
+            tensor[idx] = original + GRAD_CHECK_STEP
             hi = loss()
-            tensor[idx] = original - step
+            tensor[idx] = original - GRAD_CHECK_STEP
             lo = loss()
             tensor[idx] = original
-            fd[idx] = (hi - lo) / (2.0 * step)
+            fd[idx] = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
         scale = max(np.abs(analytic[name]).max(initial=0.0), np.abs(fd).max(initial=0.0), 1e-8)
         per_tensor[name] = float(np.abs(analytic[name] - fd).max(initial=0.0) / scale)
 
@@ -534,7 +529,7 @@ def make_train_batch(
     )
     text = None
     if cfg.text_conditioning:
-        ids = tuple(int(i) for i in rng.integers(0, cfg.vocab, size=4))
+        ids = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=4))
         text = InstructionTokens(ids)
     readout = rng.standard_normal((cfg.model_dim, cfg.visual_dim)) / np.sqrt(cfg.model_dim)
     target = np.mean([f.mean(axis=0) for f in dynamic_visual], axis=0)
@@ -546,37 +541,32 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
 
     A fixed linear readout maps the mean of the K output tokens to a
     prediction of the mean dynamic-frame visual token; the loss is the mean
-    squared error averaged over dynamic frames.  Returns (new params, loss).
+    squared error averaged over dynamic frames, which go through forward and
+    backward as one stack.  Returns (new params, loss); a loss that is not
+    finite raises NumericError.
     """
     if lr < 0:
         raise ArgumentError(f"learning rate must be >= 0, got {lr}")
     cfg = params.cfg
     k = cfg.queries
-    queries = build_queries(params, batch.static_visual)
-    n = len(batch.dynamic_visual)
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    d_queries_total = np.zeros_like(queries)
-    loss = 0.0
-    for v_i, a_i in zip(batch.dynamic_visual, batch.dynamic_audio):
-        out, cache = forward(params, queries, v_i, a_i, text=batch.text, return_cache=True)
-        pred = out.mean(axis=0) @ batch.readout
-        err = pred - batch.target
-        loss += float(err @ err) / err.size
-        d_out = np.broadcast_to(
-            (2.0 / (n * err.size * k)) * (err @ batch.readout.T), (k, cfg.model_dim)
-        )
-        bundle = _backward(params, cache, d_out)
-        for name, g in bundle.tensors.items():
-            grads[name] += g
-        d_queries_total += bundle.queries
-    loss /= n
+    with np.errstate(invalid="ignore", over="ignore"):
+        queries = build_queries(params, batch.static_visual)
+        visual, audio = np.stack(batch.dynamic_visual), np.stack(batch.dynamic_audio)
+        out, cache = forward(params, queries, visual, audio, text=batch.text, return_cache=True)
+        err = out.mean(axis=-2) @ batch.readout - batch.target  # (frames, visual_dim)
+        loss = float(np.sum(err * err)) / err.size
     if not np.isfinite(loss):
         raise NumericError(f"training loss is not finite: {loss}")
+    d_out = np.broadcast_to(
+        ((2.0 / (err.size * k)) * (err @ batch.readout.T))[:, None, :], out.shape
+    )
+    bundle = backward(params, cache, d_out)
+    grads = bundle.tensors
     if cfg.query_type == "avgpool":
-        # chain the query construction: Q = P @ (static @ W_v)
+        # chain the query construction: Q = (P @ static) @ W_v
         static = np.asarray(batch.static_visual, dtype=np.float64)
         pool = kernels.pool_matrix(static.shape[0], k)
-        grads["visual_proj"] += static.T @ (pool.T @ d_queries_total)
+        grads["visual_proj"] += static.T @ (pool.T @ bundle.queries)
     new_tensors = {name: arr - lr * grads[name] for name, arr in params.tensors.items()}
     return QFormerParams(cfg, new_tensors), loss
 
@@ -593,7 +583,7 @@ def save_params(params: QFormerParams, path) -> None:
     w.u32(PARAMS_VERSION)
     w.u8(QUERY_TYPES.index(cfg.query_type))
     w.u8(int(cfg.text_conditioning))
-    for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, cfg.vocab, cfg.visual_dim, cfg.audio_dim):
+    for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, VOCAB_SIZE, cfg.visual_dim, cfg.audio_dim):
         w.u32(value)
     w.u32(len(params.tensors))
     for name, tensor in params.tensors.items():
@@ -621,7 +611,10 @@ def load_params(path) -> QFormerParams:
     heads = r.u32("heads")
     layers = r.u32("layers")
     queries = r.u32("queries")
+    vocab_offset = r.offset
     vocab = r.u32("vocab")
+    if vocab != VOCAB_SIZE:
+        raise FormatError(f"text vocabulary {vocab} is not {VOCAB_SIZE}", vocab_offset)
     visual_dim = r.u32("visual_dim")
     audio_dim = r.u32("audio_dim")
     try:
@@ -632,7 +625,6 @@ def load_params(path) -> QFormerParams:
             queries=queries,
             query_type=QUERY_TYPES[query_type_idx],
             text_conditioning=bool(text_flag),
-            vocab=vocab,
             visual_dim=visual_dim,
             audio_dim=audio_dim,
         )

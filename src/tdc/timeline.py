@@ -38,8 +38,6 @@ AUDIO_TOKENS_PER_FRAME = 50
 DEFAULT_DIM = 32
 DEFAULT_NOISE = 0.01
 
-_STREAM_TAGS = (0, 1, 2)
-
 
 @dataclass(frozen=True)
 class InstructionTokens:

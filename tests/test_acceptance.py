@@ -282,7 +282,7 @@ def test_criterion_10_format_round_trips(tmp_path):
             cfg = tdc.QFormerConfig(
                 model_dim=8, heads=2, layers=int(rng.integers(1, 3)),
                 queries=int(rng.integers(1, 4)), visual_dim=int(rng.integers(1, 6)),
-                audio_dim=int(rng.integers(1, 6)), vocab=16, seed=i,
+                audio_dim=int(rng.integers(1, 6)), seed=i,
                 query_type="learned" if rng.integers(2) else "avgpool",
             )
             params = tdc.init_params(cfg)

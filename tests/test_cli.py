@@ -139,18 +139,31 @@ def test_segment_nonfinite_descriptor_is_numeric(capsys, tmp_path, bad):
     assert "not finite" in err and "frame 3" in err
 
 
-def test_compress_nonfinite_token_is_numeric_and_writes_nothing(capsys, tmp_path):
+def inf_token_file(tmp_path):
     tl = tdc.synth_generate(tdc.SynthSpec(seed=1, frames=20))
     visual = tl.visual_tokens.copy()
     visual[3, 0, 0] = np.inf
     path = tmp_path / "inf.tdcf"
     tdc.write_tdcf(tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors), path)
+    return path
+
+
+def test_compress_nonfinite_token_is_numeric_and_writes_nothing(capsys, tmp_path):
+    path = inf_token_file(tmp_path)
     out = tmp_path / "s.tdcs"
-    with np.errstate(invalid="ignore", over="ignore"):
-        code, _, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
+    code, _, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
     assert code == 3
     assert "not finite" in err and "frame 3" in err
+    assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_lvcot_nonfinite_token_is_numeric(capsys, tmp_path):
+    path = inf_token_file(tmp_path)
+    code, _, err = run(capsys, "lvcot", "--input", str(path), "--text", "q", "--segments", "2")
+    assert code == 3
+    assert "segment 0" in err and "frame 3" in err
+    assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
 
 
 def test_exit_code_orchestration(capsys, tmp_path):

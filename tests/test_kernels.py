@@ -79,7 +79,7 @@ def test_pool_sizes_near_equal_larger_first():
 
 def test_pool_dense_frame_grouping():
     m = np.random.default_rng(1).standard_normal((144, 5))
-    out = kernels.mean_pool_groups(m, 16)
+    out = kernels.pool_matrix(144, 16) @ m
     assert out.shape == (16, 5)
     np.testing.assert_allclose(out[3], m[27:36].mean(axis=0))
 
@@ -87,13 +87,15 @@ def test_pool_dense_frame_grouping():
 def test_pool_identical_rows():
     v = np.array([1.0, -2.0, 0.5])
     m = np.tile(v, (10, 1))
-    np.testing.assert_allclose(kernels.mean_pool_groups(m, 4), np.tile(v, (4, 1)))
+    np.testing.assert_allclose(kernels.pool_matrix(10, 4) @ m, np.tile(v, (4, 1)))
 
 
 def test_pool_matrix_agrees_with_mean_pool():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((11, 3))
-    np.testing.assert_allclose(kernels.pool_matrix(11, 4) @ m, kernels.mean_pool_groups(m, 4))
+    # groups of 3, 3, 3, 2 rows
+    means = [m[0:3].mean(axis=0), m[3:6].mean(axis=0), m[6:9].mean(axis=0), m[9:11].mean(axis=0)]
+    np.testing.assert_allclose(kernels.pool_matrix(11, 4) @ m, np.array(means), atol=1e-12)
 
 
 @given(
@@ -101,15 +103,16 @@ def test_pool_matrix_agrees_with_mean_pool():
 )
 @settings(max_examples=50, deadline=None)
 def test_pool_edge_group_counts(m):
-    np.testing.assert_allclose(kernels.mean_pool_groups(m, m.shape[0]), m)
-    np.testing.assert_allclose(kernels.mean_pool_groups(m, 1), m.mean(axis=0, keepdims=True), atol=1e-9)
+    rows = m.shape[0]
+    np.testing.assert_allclose(kernels.pool_matrix(rows, rows) @ m, m)
+    np.testing.assert_allclose(kernels.pool_matrix(rows, 1) @ m, m.mean(axis=0, keepdims=True), atol=1e-9)
 
 
 def test_pool_rejects_bad_counts():
     with pytest.raises(ArgumentError):
-        kernels.mean_pool_groups(np.zeros((3, 2)), 4)
+        kernels.pool_matrix(3, 4)
     with pytest.raises(ArgumentError):
-        kernels.mean_pool_groups(np.zeros((3, 2)), 0)
+        kernels.pool_matrix(3, 0)
 
 
 def test_layer_norm_grad_matches_finite_differences():

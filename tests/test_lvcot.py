@@ -136,7 +136,7 @@ def test_nonfinite_stream_never_reaches_the_answerer():
     visual[9, 0, 0] = np.nan
     tl = tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors)
     echo = CountingEcho()
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=r"segment 1 \(6s-12s.*frame 3 "):
+    with pytest.raises(NumericError, match=r"segment 1 \(6s-12s.*frame 3 "):
         tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=2), small_context())
     assert echo.calls == 1  # only the finite first span was answered
 

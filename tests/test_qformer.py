@@ -144,7 +144,8 @@ def test_zero_upstream_gives_zero_bundle():
     cfg = tiny_config()
     params = tdc.init_params(cfg)
     q, v, a = random_inputs(cfg)
-    bundle = tdc.backward(params, q, v, a, np.zeros((cfg.queries, cfg.model_dim)))
+    _, cache = tdc.forward(params, q, v, a, return_cache=True)
+    bundle = tdc.backward(params, cache, np.zeros((cfg.queries, cfg.model_dim)))
     assert all(np.all(g == 0.0) for g in bundle.tensors.values())
     assert np.all(bundle.queries == 0.0)
 
@@ -154,9 +155,41 @@ def test_unused_learned_queries_get_zero_gradient():
     params = tdc.init_params(cfg)
     q, v, a = random_inputs(cfg, seed=11)
     up = np.random.default_rng(12).standard_normal((cfg.queries, cfg.model_dim))
-    bundle = tdc.backward(params, q, v, a, up)
+    _, cache = tdc.forward(params, q, v, a, return_cache=True)
+    bundle = tdc.backward(params, cache, up)
     assert np.all(bundle["learned_queries"] == 0.0)
     assert np.abs(bundle["visual_proj"]).max() > 0.0
+
+
+@pytest.mark.parametrize("query_type", ["avgpool", "learned"])
+def test_frame_stack_matches_single_frames(query_type):
+    # a stack of frames sharing queries and text gives each frame's own
+    # output, and gradients summed over the frames
+    cfg = tiny_config(query_type=query_type, text_conditioning=True)
+    params = tdc.init_params(cfg)
+    rng = np.random.default_rng(14)
+    q = rng.standard_normal((cfg.queries, cfg.model_dim))
+    v = rng.standard_normal((3, 6, cfg.visual_dim))
+    a = rng.standard_normal((3, 4, cfg.audio_dim))
+    up = rng.standard_normal((3, cfg.queries, cfg.model_dim))
+    text = tdc.tokenize_text("find the red ball")
+
+    out, cache = tdc.forward(params, q, v, a, text=text, return_cache=True)
+    stacked = tdc.backward(params, cache, up)
+    assert out.shape == (3, cfg.queries, cfg.model_dim)
+    singles = []
+    for f in range(3):
+        out_f, cache_f = tdc.forward(params, q, v[f], a[f], text=text, return_cache=True)
+        np.testing.assert_allclose(out[f], out_f, rtol=0, atol=1e-12)
+        singles.append(tdc.backward(params, cache_f, up[f]))
+    for name in params.tensors:
+        np.testing.assert_allclose(
+            stacked[name], sum(b[name] for b in singles), rtol=0, atol=1e-12, err_msg=name
+        )
+    np.testing.assert_allclose(stacked.queries, sum(b.queries for b in singles), rtol=0, atol=1e-12)
+    assert np.abs(stacked["text_embed"]).max() > 0.0
+    with pytest.raises(ShapeError):
+        tdc.backward(params, cache, up[0])
 
 
 def test_grad_check_passes_and_is_deterministic():
@@ -166,8 +199,17 @@ def test_grad_check_passes_and_is_deterministic():
     assert r1.per_tensor == r2.per_tensor
 
 
-def test_grad_check_fault_injection_isolates_tensor():
-    report = tdc.grad_check(seed=1, corrupt="layers.0.ffn.w1")
+def test_grad_check_fault_injection_isolates_tensor(monkeypatch):
+    real_backward = qformer.backward
+
+    def corrupted(params, cache, upstream):
+        bundle = real_backward(params, cache, upstream)
+        g = bundle.tensors["layers.0.ffn.w1"]
+        bundle.tensors["layers.0.ffn.w1"] = g + 1e-2 * (1.0 + np.abs(g))
+        return bundle
+
+    monkeypatch.setattr(qformer, "backward", corrupted)
+    report = tdc.grad_check(seed=1)
     assert not report.passed
     assert max(report.per_tensor, key=report.per_tensor.get) == "layers.0.ffn.w1"
     others = {k: v for k, v in report.per_tensor.items() if k != "layers.0.ffn.w1"}
@@ -190,7 +232,8 @@ def test_avgpool_query_path_gradient_matches_finite_differences():
         return float(np.sum(up * tdc.forward(params, queries, v, a)))
 
     queries = tdc.build_queries(params, static)
-    bundle = tdc.backward(params, queries, v, a, up)
+    _, cache = tdc.forward(params, queries, v, a, return_cache=True)
+    bundle = tdc.backward(params, cache, up)
     pool = kernels.pool_matrix(static.shape[0], cfg.queries)
     analytic = bundle["visual_proj"] + static.T @ (pool.T @ bundle.queries)
 
@@ -236,7 +279,7 @@ def test_train_step_nonfinite_loss_raises():
     params = tdc.init_params(cfg)
     batch = qformer.make_train_batch(cfg, seed=2, frames=3, visual_tokens=6, audio_tokens=4)
     params.tensors["final_norm.gamma"][:] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+    with pytest.raises(NumericError):
         tdc.train_step(params, batch, 0.1)
 
 
@@ -265,6 +308,21 @@ def test_checkpoint_parse_errors(tmp_path):
     bad.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncatedPayloadError):
         tdc.load_params(bad)
+
+
+def test_checkpoint_vocab_other_than_1024_is_format_error(tmp_path):
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config()), path)
+    raw = bytearray(path.read_bytes())
+    # magic, version, query type, text flag, model_dim, heads, layers, queries
+    vocab_at = 4 + 4 + 1 + 1 + 4 * 4
+    assert int.from_bytes(raw[vocab_at : vocab_at + 4], "little") == 1024
+    raw[vocab_at : vocab_at + 4] = (16).to_bytes(4, "little")
+    bad = tmp_path / "bad.tdcp"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="vocabulary 16") as err:
+        tdc.load_params(bad)
+    assert err.value.offset == vocab_at
 
 
 def test_checkpoint_non_utf8_tensor_name(tmp_path):
