@@ -23,7 +23,6 @@ from .lvcot import (
 )
 from .qformer import (
     GradCheckReport,
-    GradientBundle,
     QFormerConfig,
     QFormerParams,
     TrainBatch,

@@ -123,10 +123,13 @@ def _cmd_gen(args) -> None:
     )
 
 
+def _segmenter_config(args) -> segmenter.SegmenterConfig:
+    return segmenter.SegmenterConfig(max_scenes=args.max_segments, tau=args.tau)
+
+
 def _cmd_segment(args) -> None:
     tl = timeline.read_tdcf(args.input)
-    cfg = segmenter.SegmenterConfig(max_scenes=args.max_segments, tau=args.tau)
-    partition = segmenter.segment_scenes(tl, cfg)
+    partition = segmenter.segment_scenes(tl, _segmenter_config(args))
     _emit(
         {
             "command": "segment",
@@ -140,8 +143,7 @@ def _cmd_segment(args) -> None:
 
 
 def _plan_for(tl, args):
-    cfg = segmenter.SegmenterConfig(max_scenes=args.max_segments, tau=args.tau)
-    partition = segmenter.segment_scenes(tl, cfg)
+    partition = segmenter.segment_scenes(tl, _segmenter_config(args))
     return partition, compressor.make_windows(partition, args.window)
 
 
@@ -207,7 +209,7 @@ def _cmd_lvcot(args) -> None:
     params = qformer.init_params(_qformer_config(tl, args))
     ctx = lvcot.CompressionContext(
         params=params,
-        segmenter=segmenter.SegmenterConfig(max_scenes=args.max_segments, tau=args.tau),
+        segmenter=_segmenter_config(args),
         window_length=args.window,
     )
     trace = lvcot.run_lvcot(tl, args.text, answerer, lvcot.LVCoTConfig(segments=args.segments), ctx)

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 
+LN_EPS = 1e-5  # added to each row's variance in layer_norm
+
 # tanh-form gelu constants
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -36,7 +38,7 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm(m, gamma, beta, eps: float = 1e-5):
+def layer_norm(m, gamma, beta):
     """Normalization of each last-axis row to mean 0 / variance 1, then gamma*x + beta.
 
     Returns (output, cache); the cache (normalized rows, per-row reciprocal
@@ -49,11 +51,9 @@ def layer_norm(m, gamma, beta, eps: float = 1e-5):
         raise ShapeError(
             f"gamma/beta lengths {g.shape[0]}/{b.shape[0]} do not match {a.shape[-1]} columns"
         )
-    if not eps > 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
     centered = a - a.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     return xhat * g + b, (xhat, inv)
 

@@ -108,7 +108,7 @@ def interval_tag(start: int, stop: int) -> str:
     return f"[{start}s-{stop}s]:"
 
 
-def _stream_for(tl: VideoTimeline, ctx: CompressionContext, text: InstructionTokens | None) -> TDCStream:
+def _stream_for(tl: VideoTimeline, ctx: CompressionContext, text: InstructionTokens) -> TDCStream:
     partition = segment_scenes(tl, ctx.segmenter)
     plan = make_windows(partition, ctx.window_length)
     return assemble_tdc(tl, plan, ctx.params, text=text)
@@ -123,7 +123,7 @@ def run_lvcot(
 ) -> LVCoTTrace:
     """Split, summarize each span, then answer over the whole video."""
     spans = split_spans(tl.frame_count, cfg.segments)
-    text = tokenize_text(question) if ctx.params.cfg.text_conditioning else None
+    text = tokenize_text(question)
 
     prompts: list[str] = []
     answers: list[str] = []

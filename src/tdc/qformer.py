@@ -11,10 +11,9 @@ A final layer norm is applied and the first K rows are the output.  No
 positional encoding is applied anywhere; key/value tokens form a set.
 
 One forward and one analytic backward serve a single frame and a stack of
-frames that share the queries and text.  The backward treats the query
-matrix as an input (its gradient is reported separately) except in
-learned-query mode, where the query input is the ``learned_queries``
-parameter itself and receives that gradient.
+frames that share the static frame and text.  The forward builds its own
+queries from the static frame (or the ``learned_queries`` parameter), so the
+backward returns one gradient per parameter, the query path included.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .timeline import VOCAB_SIZE, InstructionTokens
 
 PARAMS_MAGIC = b"TDCP"
 PARAMS_VERSION = 1
-LN_EPS = 1e-5
 GRAD_CHECK_THRESHOLD = 1e-5
 GRAD_CHECK_STEP = 1e-5  # central-difference step
 QUERY_TYPES = ("avgpool", "learned")
@@ -151,22 +149,16 @@ def init_params(cfg: QFormerConfig) -> QFormerParams:
     return QFormerParams(cfg, tensors)
 
 
-@dataclass(eq=False)
-class GradientBundle:
-    """One gradient tensor per parameter tensor, plus the query-input gradient."""
+def build_queries(params: QFormerParams, static_visual):
+    """Query tokens for one window, and the pooled static tokens they project.
 
-    tensors: dict[str, np.ndarray]
-    queries: np.ndarray
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-
-def build_queries(params: QFormerParams, static_visual) -> np.ndarray:
-    """Query tokens for one window: pooled projected static tokens, or learned."""
+    Returns (queries, pooled): avgpool mode pools the static frame's visual
+    tokens into K groups, pooled (K, d_v), and projects them with W_v;
+    learned mode ignores the static frame and returns (learned_queries, None).
+    """
     cfg = params.cfg
     if cfg.query_type == "learned":
-        return params["learned_queries"].copy()
+        return params["learned_queries"], None
     static = kernels.as_matrix(static_visual, "static visual tokens")
     if static.shape[1] != cfg.visual_dim:
         raise ShapeError(
@@ -176,7 +168,8 @@ def build_queries(params: QFormerParams, static_visual) -> np.ndarray:
         raise ArgumentError(
             f"cannot pool {static.shape[0]} static tokens into {cfg.queries} queries"
         )
-    return (kernels.pool_matrix(static.shape[0], cfg.queries) @ static) @ params["visual_proj"]
+    pooled = kernels.pool_matrix(static.shape[0], cfg.queries) @ static
+    return pooled @ params["visual_proj"], pooled
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +199,7 @@ class _LayerCache(NamedTuple):
 
 
 class _ForwardCache(NamedTuple):
+    pooled: np.ndarray | None  # pooled static tokens; None for learned queries
     visual: np.ndarray
     audio: np.ndarray
     ids: tuple[int, ...]
@@ -270,13 +264,8 @@ def _attn_backward(d_out, cache: _AttnCache, wq, wk, wv, wo):
     return d_q_in, d_kv_in, weight_grads
 
 
-def _check_inputs(params: QFormerParams, queries, visual, audio, text):
+def _check_inputs(params: QFormerParams, visual, audio, text):
     cfg = params.cfg
-    q = np.asarray(queries, dtype=np.float64)
-    if q.shape != (cfg.queries, cfg.model_dim):
-        raise ShapeError(
-            f"queries shape {q.shape} does not match ({cfg.queries}, {cfg.model_dim})"
-        )
     v = np.asarray(visual, dtype=np.float64)
     a = np.asarray(audio, dtype=np.float64)
     if v.ndim not in (2, 3) or a.ndim != v.ndim or a.shape[:-2] != v.shape[:-2]:
@@ -290,18 +279,22 @@ def _check_inputs(params: QFormerParams, queries, visual, audio, text):
     ids: tuple[int, ...] = ()
     if cfg.text_conditioning and text is not None:
         ids = tuple(text.ids)
-    return q, v, a, ids
+    return v, a, ids
 
 
-def forward(params: QFormerParams, queries, visual, audio, text=None, return_cache=False):
+def forward(params: QFormerParams, static_visual, visual, audio, text=None, return_cache=False):
     """Compress one frame, visual (m_v, d_v) and audio (m_a, d_a), into (K, d);
-    or a stack (F, m_v, d_v), (F, m_a, d_a) sharing queries and text into (F, K, d).
+    or a stack (F, m_v, d_v), (F, m_a, d_a) sharing the static frame and text
+    into (F, K, d).
 
-    With ``return_cache`` the result is (output, cache) for ``backward``.
+    The queries come from ``build_queries`` on the window's static frame,
+    static_visual (m_s, d_v), which learned-query mode ignores.  With
+    ``return_cache`` the result is (output, cache) for ``backward``.
     """
     cfg = params.cfg
     t = params.tensors
-    q, v, a, ids = _check_inputs(params, queries, visual, audio, text)
+    v, a, ids = _check_inputs(params, visual, audio, text)
+    q, pooled = build_queries(params, static_visual)
     k = cfg.queries
     lead = v.shape[:-2]
 
@@ -313,39 +306,38 @@ def forward(params: QFormerParams, queries, visual, audio, text=None, return_cac
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
         p = f"layers.{i}."
-        h1, ln1 = kernels.layer_norm(x, t[p + "self_norm.gamma"], t[p + "self_norm.beta"], LN_EPS)
+        h1, ln1 = kernels.layer_norm(x, t[p + "self_norm.gamma"], t[p + "self_norm.beta"])
         sa, self_cache = _attn_forward(
             h1, h1, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"], cfg.heads
         )
         x = x + sa
 
-        h2, ln2 = kernels.layer_norm(x, t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"], LN_EPS)
+        h2, ln2 = kernels.layer_norm(x, t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"])
         ca, cross_cache = _attn_forward(
             h2[..., :k, :], kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
         )
         x = x.copy()
         x[..., :k, :] += ca
 
-        h3, ln3 = kernels.layer_norm(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"], LN_EPS)
+        h3, ln3 = kernels.layer_norm(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"])
         u = h3 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         g = kernels.gelu(u)
         x = x + g @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
 
         layer_caches.append(_LayerCache(ln1, self_cache, ln2, cross_cache, ln3, h3, u, g))
 
-    out, final_ln = kernels.layer_norm(x[..., :k, :], t["final_norm.gamma"], t["final_norm.beta"], LN_EPS)
+    out, final_ln = kernels.layer_norm(x[..., :k, :], t["final_norm.gamma"], t["final_norm.beta"])
     if return_cache:
-        return out, _ForwardCache(v, a, ids, kv, x.shape[-2], layer_caches, final_ln)
+        return out, _ForwardCache(pooled, v, a, ids, kv, x.shape[-2], layer_caches, final_ln)
     return out
 
 
-def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> GradientBundle:
-    """Analytic gradients of <upstream, output> for the forward call that made ``cache``.
+def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str, np.ndarray]:
+    """Analytic gradients of <upstream, output> for the forward call that made
+    ``cache``: one array per parameter tensor, summed over a stack's frames.
 
-    A stack's gradients are sums over its frames.  The query matrix is
-    treated as an input; its gradient is returned in ``bundle.queries``.  In
-    learned-query mode that input *is* the ``learned_queries`` parameter,
-    which therefore also receives the gradient.
+    The query gradient reaches ``visual_proj`` through the pooled static
+    tokens, or ``learned_queries`` in learned-query mode.
     """
     cfg = params.cfg
     t = params.tensors
@@ -417,9 +409,11 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> GradientB
     grads["visual_proj"] += _weight_grad(cache.visual, d_kv[..., :m_v, :])
     if cache.audio.shape[-2]:
         grads["audio_proj"] += _weight_grad(cache.audio, d_kv[..., m_v:, :])
-    if cfg.query_type == "learned":
+    if cache.pooled is None:
         grads["learned_queries"] += d_queries
-    return GradientBundle(tensors=grads, queries=d_queries)
+    else:
+        grads["visual_proj"] += cache.pooled.T @ d_queries
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +434,8 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
     Relative error per tensor is max|analytic - fd| / max(|analytic|, |fd|, 1e-8)
     over its entries.  Rows of the text-embedding table that the probe text
     never references are skipped: the loss provably does not depend on them,
-    so both sides are identically zero.  The probe is a single frame.
+    so both sides are identically zero.  The probe is a single frame with its
+    own static frame, so the query path is checked in both query modes.
     """
     cfg = cfg or small_config()
     params = init_params(replace(cfg, seed=seed))
@@ -453,18 +448,14 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
         ids = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=3))
         text = InstructionTokens(ids)
         used_rows = set(ids)
-    # learned queries alias the parameter, so the probes below perturb them too
-    if cfg.query_type == "learned":
-        queries = params["learned_queries"]
-    else:
-        queries = rng.standard_normal((cfg.queries, cfg.model_dim))
     upstream = rng.standard_normal((cfg.queries, cfg.model_dim))
+    static = rng.standard_normal((2 * cfg.queries + 1, cfg.visual_dim))
 
     def loss() -> float:
-        return float(np.sum(upstream * forward(params, queries, visual, audio, text=text)))
+        return float(np.sum(upstream * forward(params, static, visual, audio, text=text)))
 
-    _, cache = forward(params, queries, visual, audio, text=text, return_cache=True)
-    analytic = backward(params, cache, upstream).tensors
+    _, cache = forward(params, static, visual, audio, text=text, return_cache=True)
+    analytic = backward(params, cache, upstream)
 
     per_tensor: dict[str, float] = {}
     for name, tensor in params.tensors.items():
@@ -550,9 +541,8 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     cfg = params.cfg
     k = cfg.queries
     with np.errstate(invalid="ignore", over="ignore"):
-        queries = build_queries(params, batch.static_visual)
         visual, audio = np.stack(batch.dynamic_visual), np.stack(batch.dynamic_audio)
-        out, cache = forward(params, queries, visual, audio, text=batch.text, return_cache=True)
+        out, cache = forward(params, batch.static_visual, visual, audio, text=batch.text, return_cache=True)
         err = out.mean(axis=-2) @ batch.readout - batch.target  # (frames, visual_dim)
         loss = float(np.sum(err * err)) / err.size
     if not np.isfinite(loss):
@@ -560,13 +550,7 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     d_out = np.broadcast_to(
         ((2.0 / (err.size * k)) * (err @ batch.readout.T))[:, None, :], out.shape
     )
-    bundle = backward(params, cache, d_out)
-    grads = bundle.tensors
-    if cfg.query_type == "avgpool":
-        # chain the query construction: Q = (P @ static) @ W_v
-        static = np.asarray(batch.static_visual, dtype=np.float64)
-        pool = kernels.pool_matrix(static.shape[0], k)
-        grads["visual_proj"] += static.T @ (pool.T @ bundle.queries)
+    grads = backward(params, cache, d_out)
     new_tensors = {name: arr - lr * grads[name] for name, arr in params.tensors.items()}
     return QFormerParams(cfg, new_tensors), loss
 
@@ -599,7 +583,8 @@ def save_params(params: QFormerParams, path) -> None:
 
 def load_params(path) -> QFormerParams:
     """Read a TDCP checkpoint back into float64 parameter tensors."""
-    r = ByteReader(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    r = ByteReader(data)
     r.expect_magic(PARAMS_MAGIC)
     r.expect_version(PARAMS_VERSION)
     header_offset = r.offset
@@ -609,7 +594,13 @@ def load_params(path) -> QFormerParams:
     text_flag = r.u8("text flag")
     model_dim = r.u32("model_dim")
     heads = r.u32("heads")
+    layers_offset = r.offset
     layers = r.u32("layers")
+    # each layer stores eight (d, d) float32 attention matrices; bound the
+    # count by the bytes left before expected_shapes loops over the layers
+    left = len(data) - r.offset
+    if layers * 8 * 4 * model_dim * model_dim > left:
+        raise FormatError(f"{layers} layers of width {model_dim} do not fit in the {left} bytes left", layers_offset)
     queries = r.u32("queries")
     vocab_offset = r.offset
     vocab = r.u32("vocab")

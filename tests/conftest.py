@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ def random_timeline(rng, frames, visual_tokens=6, audio_tokens=4, dim=8):
         rng.standard_normal((frames, audio_tokens, dim)).astype(np.float32),
         rng.standard_normal((frames, dim)).astype(np.float32),
     )
+
+
+def with_queries(params, queries):
+    """Learned-query copy of params whose query set is `queries`; its forward
+    (which ignores the static frame) runs the model on that query matrix."""
+    cfg = replace(params.cfg, query_type="learned")
+    return tdc.QFormerParams(cfg, {**params.tensors, "learned_queries": np.asarray(queries, dtype=np.float64)})
 
 
 def brute_force_cuts(similarities, tau, max_scenes):

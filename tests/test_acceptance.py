@@ -16,7 +16,7 @@ from tdc.errors import BadMagicError, TruncatedPayloadError
 from tdc.segmenter import ScenePartition
 from tdc.timeline import AUDIO_TOKENS_PER_FRAME, VISUAL_TOKENS_PER_FRAME
 
-from conftest import brute_force_cuts, random_timeline, walk_stream_counts
+from conftest import brute_force_cuts, random_timeline, walk_stream_counts, with_queries
 
 
 @contextmanager
@@ -152,14 +152,15 @@ def test_criterion_06_attention_properties():
             m_v = int(rng.integers(1, 9))
             m_a = int(rng.integers(1, 7))
             q = rng.standard_normal((cfg.queries, cfg.model_dim))
+            queried, queried_shared = with_queries(params, q), with_queries(shared, q)
             v = rng.standard_normal((m_v, cfg.visual_dim))
             a = rng.standard_normal((m_a, cfg.audio_dim))
 
             # joint permutation of the concatenated kv rows (shared projection)
             rows = np.vstack([v, a])
             perm = rng.permutation(rows.shape[0])
-            out1 = tdc.forward(shared, q, v, a)
-            out2 = tdc.forward(shared, q, rows[perm][:m_v], rows[perm][m_v:])
+            out1 = tdc.forward(queried_shared, None, v, a)
+            out2 = tdc.forward(queried_shared, None, rows[perm][:m_v], rows[perm][m_v:])
             assert np.abs(out1 - out2).max() <= 1e-9
 
             # softmax rows sum to one, including large-magnitude entries
@@ -168,7 +169,7 @@ def test_criterion_06_attention_properties():
             assert np.abs(sums - 1.0).max() <= 1e-9
 
             # convex hull per head, every layer
-            _, cache = tdc.forward(params, q, v, a, return_cache=True)
+            _, cache = tdc.forward(queried, None, v, a, return_cache=True)
             for lc in cache.layers:
                 ctx, vh = lc.cross.ctx, lc.cross.vh
                 assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()

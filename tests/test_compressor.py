@@ -51,7 +51,8 @@ def test_build_queries_identical_tokens():
     tl, params, _ = small_setup()
     v = np.full((6, 8), 0.0)
     v[:] = np.arange(8.0)
-    queries = tdc.build_queries(params, v)
+    queries, pooled = tdc.build_queries(params, v)
+    np.testing.assert_allclose(pooled, np.tile(np.arange(8.0), (3, 1)))
     expected = np.tile(np.arange(8.0) @ params["visual_proj"], (3, 1))
     np.testing.assert_allclose(queries, expected)
 
@@ -60,8 +61,9 @@ def test_build_queries_dense_grouping(default_params):
     # 144 static tokens pooled into 16 queries of 9 projected tokens each
     rng = np.random.default_rng(3)
     static = rng.standard_normal((144, 32))
-    queries = tdc.build_queries(default_params, static)
+    queries, pooled = tdc.build_queries(default_params, static)
     assert queries.shape == (16, 64)
+    np.testing.assert_allclose(pooled[5], static[45:54].mean(axis=0))
     projected = static @ default_params["visual_proj"]
     np.testing.assert_allclose(queries[5], projected[45:54].mean(axis=0))
 
@@ -69,10 +71,14 @@ def test_build_queries_dense_grouping(default_params):
 def test_build_queries_learned_ignores_static():
     tl, params, _ = small_setup(query_type="learned")
     rng = np.random.default_rng(4)
-    q1 = tdc.build_queries(params, rng.standard_normal((6, 8)))
-    q2 = tdc.build_queries(params, rng.standard_normal((6, 8)))
+    q1, pooled = tdc.build_queries(params, rng.standard_normal((6, 8)))
+    q2, _ = tdc.build_queries(params, rng.standard_normal((6, 8)))
     np.testing.assert_array_equal(q1, q2)
     np.testing.assert_array_equal(q1, params["learned_queries"])
+    assert pooled is None
+    # forward ignores the static frame too
+    v, a = rng.standard_normal((6, 8)), rng.standard_normal((4, 8))
+    np.testing.assert_array_equal(tdc.forward(params, None, v, a), tdc.forward(params, v, v, a))
 
 
 def test_build_queries_rejects_too_few_tokens():
@@ -84,13 +90,13 @@ def test_build_queries_rejects_too_few_tokens():
 def test_compress_frame_is_pure_and_text_sensitive():
     tl, params, _ = small_setup(text_conditioning=True)
     rng = np.random.default_rng(5)
-    queries = rng.standard_normal((3, 16))
+    static = rng.standard_normal((6, 8))
     v = rng.standard_normal((6, 8))
     a = rng.standard_normal((4, 8))
-    out1 = tdc.forward(params, queries, v, a)
-    out2 = tdc.forward(params, queries, v, a)
+    out1 = tdc.forward(params, static, v, a)
+    out2 = tdc.forward(params, static, v, a)
     np.testing.assert_array_equal(out1, out2)
-    out_text = tdc.forward(params, queries, v, a, text=tdc.tokenize_text("find the cat"))
+    out_text = tdc.forward(params, static, v, a, text=tdc.tokenize_text("find the cat"))
     assert np.abs(out_text - out1).max() > 0.0
 
 

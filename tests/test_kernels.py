@@ -39,8 +39,9 @@ def test_layer_norm_constant_row_is_zero():
 
 
 def test_layer_norm_already_normalized():
-    out, _ = kernels.layer_norm([[1.0, -1.0]], np.ones(2), np.zeros(2), eps=1e-12)
-    np.testing.assert_allclose(out, [[1.0, -1.0]], atol=1e-9)
+    # unit variance already: only LN_EPS moves the row
+    out, _ = kernels.layer_norm([[1.0, -1.0]], np.ones(2), np.zeros(2))
+    np.testing.assert_allclose(out, [[1.0, -1.0]] / np.sqrt(1.0 + kernels.LN_EPS), rtol=0, atol=1e-15)
 
 
 def test_layer_norm_gamma_zero_collapses_to_beta():
@@ -51,11 +52,6 @@ def test_layer_norm_gamma_zero_collapses_to_beta():
 def test_layer_norm_length_mismatch():
     with pytest.raises(ShapeError):
         kernels.layer_norm(np.zeros((2, 3)), np.ones(2), np.zeros(3))
-
-
-def test_layer_norm_eps_must_be_positive():
-    with pytest.raises(ArgumentError):
-        kernels.layer_norm(np.zeros((1, 2)), np.ones(2), np.zeros(2), eps=0.0)
 
 
 def test_gelu_fixed_points():

@@ -5,6 +5,8 @@ import tdc
 from tdc import kernels, qformer
 from tdc.errors import ArgumentError, FormatError, NumericError, ShapeError, TruncatedPayloadError
 
+from conftest import with_queries
+
 
 def tiny_config(**overrides):
     base = dict(model_dim=8, heads=2, layers=1, queries=2, visual_dim=4, audio_dim=3, seed=0)
@@ -42,8 +44,8 @@ def test_forward_shape_contract():
     rng = np.random.default_rng(1)
     for m_v, m_a, words in [(1, 0, ""), (5, 3, "a"), (12, 7, "one two three four")]:
         out = tdc.forward(
-            params,
-            q,
+            with_queries(params, q),
+            None,
             rng.standard_normal((m_v, cfg.visual_dim)),
             rng.standard_normal((m_a, cfg.audio_dim)),
             text=tdc.tokenize_text(words),
@@ -55,13 +57,13 @@ def test_forward_shape_contract():
 def test_forward_rejects_bad_shapes():
     cfg = tiny_config()
     params = tdc.init_params(cfg)
-    q, v, a = random_inputs(cfg)
+    _, v, a = random_inputs(cfg)
     with pytest.raises(ShapeError):
-        tdc.forward(params, q[:, :-1], v, a)
+        tdc.forward(params, v[:, :-1], v, a)
     with pytest.raises(ShapeError):
-        tdc.forward(params, q, v[:, :-1], a)
+        tdc.forward(params, v, v[:, :-1], a)
     with pytest.raises(ShapeError):
-        tdc.forward(params, q, np.zeros((0, cfg.visual_dim)), np.zeros((0, cfg.audio_dim)))
+        tdc.forward(params, v, np.zeros((0, cfg.visual_dim)), np.zeros((0, cfg.audio_dim)))
 
 
 def test_joint_kv_permutation_invariance():
@@ -74,19 +76,20 @@ def test_joint_kv_permutation_invariance():
     rows = np.vstack([v, a])
     perm = np.random.default_rng(4).permutation(rows.shape[0])
     shuffled = rows[perm]
-    out1 = tdc.forward(params, q, v, a)
-    out2 = tdc.forward(params, q, shuffled[:6], shuffled[6:])
+    params = with_queries(params, q)
+    out1 = tdc.forward(params, None, v, a)
+    out2 = tdc.forward(params, None, shuffled[:6], shuffled[6:])
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
 def test_within_modality_permutation_invariance(default_params):
     cfg = default_params.cfg
     rng = np.random.default_rng(5)
-    q = rng.standard_normal((cfg.queries, cfg.model_dim))
+    params = with_queries(default_params, rng.standard_normal((cfg.queries, cfg.model_dim)))
     v = rng.standard_normal((9, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
-    out1 = tdc.forward(default_params, q, v, a)
-    out2 = tdc.forward(default_params, q, v[rng.permutation(9)], a[rng.permutation(5)])
+    out1 = tdc.forward(params, None, v, a)
+    out2 = tdc.forward(params, None, v[rng.permutation(9)], a[rng.permutation(5)])
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
@@ -95,8 +98,8 @@ def test_query_order_equivariance():
     params = tdc.init_params(cfg)
     q, v, a = random_inputs(cfg, seed=6)
     perm = np.array([2, 0, 3, 1])
-    out = tdc.forward(params, q, v, a)
-    out_perm = tdc.forward(params, q[perm], v, a)
+    out = tdc.forward(with_queries(params, q), None, v, a)
+    out_perm = tdc.forward(with_queries(params, q[perm]), None, v, a)
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
 
@@ -110,10 +113,11 @@ def test_zeroed_value_and_ffn_output_weights_reduce_to_ln_of_queries():
     rng = np.random.default_rng(7)
     q = rng.standard_normal((cfg.queries, cfg.model_dim))
     text = tdc.tokenize_text("some instruction words")
-    out1 = tdc.forward(params, q, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)), text=text)
-    out2 = tdc.forward(params, q, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)), text=text)
+    params = with_queries(params, q)
+    out1 = tdc.forward(params, None, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)), text=text)
+    out2 = tdc.forward(params, None, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)), text=text)
     # residual-only reference: the final norm applied to the raw queries
-    ref, _ = kernels.layer_norm(q, params["final_norm.gamma"], params["final_norm.beta"], eps=qformer.LN_EPS)
+    ref, _ = kernels.layer_norm(q, params["final_norm.gamma"], params["final_norm.beta"])
     np.testing.assert_allclose(out1, ref, atol=1e-12)
     np.testing.assert_allclose(out2, ref, atol=1e-12)
 
@@ -121,19 +125,19 @@ def test_zeroed_value_and_ffn_output_weights_reduce_to_ln_of_queries():
 def test_text_conditioning_changes_output():
     cfg = tiny_config(text_conditioning=True)
     params = tdc.init_params(cfg)
-    q, v, a = random_inputs(cfg, seed=8)
-    out_off = tdc.forward(params, q, v, a, text=None)
-    out_on = tdc.forward(params, q, v, a, text=tdc.tokenize_text("watch the dog"))
+    _, v, a = random_inputs(cfg, seed=8)
+    out_off = tdc.forward(params, v, v, a, text=None)
+    out_on = tdc.forward(params, v, v, a, text=tdc.tokenize_text("watch the dog"))
     assert np.abs(out_on - out_off).max() > 0.0
 
 
 def test_convex_hull_of_cross_attention_heads(default_params):
     cfg = default_params.cfg
     rng = np.random.default_rng(9)
-    q = rng.standard_normal((cfg.queries, cfg.model_dim))
+    params = with_queries(default_params, rng.standard_normal((cfg.queries, cfg.model_dim)))
     v = rng.standard_normal((8, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
-    _, cache = tdc.forward(default_params, q, v, a, return_cache=True)
+    _, cache = tdc.forward(params, None, v, a, return_cache=True)
     for lc in cache.layers:
         ctx, vh = lc.cross.ctx, lc.cross.vh
         assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
@@ -143,70 +147,73 @@ def test_convex_hull_of_cross_attention_heads(default_params):
 def test_zero_upstream_gives_zero_bundle():
     cfg = tiny_config()
     params = tdc.init_params(cfg)
-    q, v, a = random_inputs(cfg)
-    _, cache = tdc.forward(params, q, v, a, return_cache=True)
-    bundle = tdc.backward(params, cache, np.zeros((cfg.queries, cfg.model_dim)))
-    assert all(np.all(g == 0.0) for g in bundle.tensors.values())
-    assert np.all(bundle.queries == 0.0)
+    _, v, a = random_inputs(cfg)
+    _, cache = tdc.forward(params, v, v, a, return_cache=True)
+    grads = tdc.backward(params, cache, np.zeros((cfg.queries, cfg.model_dim)))
+    assert grads.keys() == params.tensors.keys()
+    assert all(np.all(g == 0.0) for g in grads.values())
 
 
 def test_unused_learned_queries_get_zero_gradient():
     cfg = tiny_config(query_type="avgpool")
     params = tdc.init_params(cfg)
-    q, v, a = random_inputs(cfg, seed=11)
+    _, v, a = random_inputs(cfg, seed=11)
     up = np.random.default_rng(12).standard_normal((cfg.queries, cfg.model_dim))
-    _, cache = tdc.forward(params, q, v, a, return_cache=True)
-    bundle = tdc.backward(params, cache, up)
-    assert np.all(bundle["learned_queries"] == 0.0)
-    assert np.abs(bundle["visual_proj"]).max() > 0.0
+    _, cache = tdc.forward(params, v, v, a, return_cache=True)
+    grads = tdc.backward(params, cache, up)
+    assert np.all(grads["learned_queries"] == 0.0)
+    assert np.abs(grads["visual_proj"]).max() > 0.0
 
 
 @pytest.mark.parametrize("query_type", ["avgpool", "learned"])
 def test_frame_stack_matches_single_frames(query_type):
-    # a stack of frames sharing queries and text gives each frame's own
-    # output, and gradients summed over the frames
+    # a stack of frames sharing the static frame and text gives each frame's
+    # own output, and gradients summed over the frames
     cfg = tiny_config(query_type=query_type, text_conditioning=True)
     params = tdc.init_params(cfg)
     rng = np.random.default_rng(14)
-    q = rng.standard_normal((cfg.queries, cfg.model_dim))
+    static = rng.standard_normal((5, cfg.visual_dim))
     v = rng.standard_normal((3, 6, cfg.visual_dim))
     a = rng.standard_normal((3, 4, cfg.audio_dim))
     up = rng.standard_normal((3, cfg.queries, cfg.model_dim))
     text = tdc.tokenize_text("find the red ball")
 
-    out, cache = tdc.forward(params, q, v, a, text=text, return_cache=True)
+    out, cache = tdc.forward(params, static, v, a, text=text, return_cache=True)
     stacked = tdc.backward(params, cache, up)
     assert out.shape == (3, cfg.queries, cfg.model_dim)
     singles = []
     for f in range(3):
-        out_f, cache_f = tdc.forward(params, q, v[f], a[f], text=text, return_cache=True)
+        out_f, cache_f = tdc.forward(params, static, v[f], a[f], text=text, return_cache=True)
         np.testing.assert_allclose(out[f], out_f, rtol=0, atol=1e-12)
         singles.append(tdc.backward(params, cache_f, up[f]))
     for name in params.tensors:
         np.testing.assert_allclose(
             stacked[name], sum(b[name] for b in singles), rtol=0, atol=1e-12, err_msg=name
         )
-    np.testing.assert_allclose(stacked.queries, sum(b.queries for b in singles), rtol=0, atol=1e-12)
     assert np.abs(stacked["text_embed"]).max() > 0.0
     with pytest.raises(ShapeError):
         tdc.backward(params, cache, up[0])
 
 
 def test_grad_check_passes_and_is_deterministic():
-    r1 = tdc.grad_check(seed=0)
-    r2 = tdc.grad_check(seed=0)
-    assert r1.passed and r1.max_relative_error <= 1e-5
-    assert r1.per_tensor == r2.per_tensor
+    # the whole model, query path included, in both query modes
+    for query_type in qformer.QUERY_TYPES:
+        cfg = qformer.small_config(query_type=query_type)
+        r1 = tdc.grad_check(cfg, seed=0)
+        r2 = tdc.grad_check(cfg, seed=0)
+        assert r1.passed and r1.max_relative_error <= 1e-5, query_type
+        assert r1.per_tensor == r2.per_tensor
+        assert r1.per_tensor.keys() == qformer.expected_shapes(cfg).keys()
 
 
 def test_grad_check_fault_injection_isolates_tensor(monkeypatch):
     real_backward = qformer.backward
 
     def corrupted(params, cache, upstream):
-        bundle = real_backward(params, cache, upstream)
-        g = bundle.tensors["layers.0.ffn.w1"]
-        bundle.tensors["layers.0.ffn.w1"] = g + 1e-2 * (1.0 + np.abs(g))
-        return bundle
+        grads = real_backward(params, cache, upstream)
+        g = grads["layers.0.ffn.w1"]
+        grads["layers.0.ffn.w1"] = g + 1e-2 * (1.0 + np.abs(g))
+        return grads
 
     monkeypatch.setattr(qformer, "backward", corrupted)
     report = tdc.grad_check(seed=1)
@@ -217,25 +224,21 @@ def test_grad_check_fault_injection_isolates_tensor(monkeypatch):
 
 
 def test_avgpool_query_path_gradient_matches_finite_differences():
-    # full-pipeline check of the one path grad_check cannot see: W_v feeding
-    # the pooled queries as well as the key/value projection
+    # full-pipeline check on a multi-frame stack: W_v feeds the pooled
+    # queries as well as the key/value projection of every frame
     cfg = tiny_config(query_type="avgpool")
     params = tdc.init_params(cfg)
     rng = np.random.default_rng(13)
     static = rng.standard_normal((5, cfg.visual_dim))
-    v = rng.standard_normal((6, cfg.visual_dim))
-    a = rng.standard_normal((4, cfg.audio_dim))
-    up = rng.standard_normal((cfg.queries, cfg.model_dim))
+    v = rng.standard_normal((3, 6, cfg.visual_dim))
+    a = rng.standard_normal((3, 4, cfg.audio_dim))
+    up = rng.standard_normal((3, cfg.queries, cfg.model_dim))
 
     def loss():
-        queries = tdc.build_queries(params, static)
-        return float(np.sum(up * tdc.forward(params, queries, v, a)))
+        return float(np.sum(up * tdc.forward(params, static, v, a)))
 
-    queries = tdc.build_queries(params, static)
-    _, cache = tdc.forward(params, queries, v, a, return_cache=True)
-    bundle = tdc.backward(params, cache, up)
-    pool = kernels.pool_matrix(static.shape[0], cfg.queries)
-    analytic = bundle["visual_proj"] + static.T @ (pool.T @ bundle.queries)
+    _, cache = tdc.forward(params, static, v, a, return_cache=True)
+    analytic = tdc.backward(params, cache, up)["visual_proj"]
 
     w = params.tensors["visual_proj"]
     fd = np.zeros_like(w)
@@ -323,6 +326,23 @@ def test_checkpoint_vocab_other_than_1024_is_format_error(tmp_path):
     with pytest.raises(FormatError, match="vocabulary 16") as err:
         tdc.load_params(bad)
     assert err.value.offset == vocab_at
+
+
+def test_checkpoint_layer_count_beyond_file_is_format_error_at_layers(tmp_path):
+    # the bound comes before expected_shapes loops once per declared layer,
+    # which hung on a flipped high bit (2**31 layers)
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config()), path)
+    raw = bytearray(path.read_bytes())
+    # magic, version, query type, text flag, model_dim, heads
+    layers_at = 4 + 4 + 1 + 1 + 4 + 4
+    assert int.from_bytes(raw[layers_at : layers_at + 4], "little") == 1
+    raw[layers_at : layers_at + 4] = (1000).to_bytes(4, "little")
+    bad = tmp_path / "bad.tdcp"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="1000 layers") as err:
+        tdc.load_params(bad)
+    assert err.value.offset == layers_at
 
 
 def test_checkpoint_non_utf8_tensor_name(tmp_path):
