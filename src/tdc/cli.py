@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -199,8 +200,13 @@ def _cmd_lvcot(args) -> None:
     if args.answerer == "mock":
         if not args.script:
             raise ArgumentError("--answerer mock requires --script")
-        with open(args.script, "r", encoding="utf-8") as fh:
-            script = json.load(fh)
+        try:
+            script = json.loads(Path(args.script).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"script file {args.script!r} is not UTF-8", exc.start) from exc
+        except json.JSONDecodeError as exc:
+            at = len(exc.doc[: exc.pos].encode("utf-8"))
+            raise FormatError(f"script file {args.script!r} is not JSON: {exc.msg}", at) from exc
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise ArgumentError(f"script file {args.script!r} must hold a JSON list of strings")
         answerer = lvcot.MockAnswerer(script)

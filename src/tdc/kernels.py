@@ -73,18 +73,21 @@ def layer_norm_grad(dy, cache, gamma):
     return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 
+def _gelu_tanh(a: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi)*(x + 0.044715*x^3)), multiplying out the cube: numpy's pow is ~50x slower."""
+    return np.tanh(_GELU_C * (a + _GELU_A * (a * a * a)))
+
+
 def gelu(m) -> np.ndarray:
     """Elementwise gelu: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     a = np.asarray(m, dtype=np.float64)
-    inner = _GELU_C * (a + _GELU_A * a**3)
-    return 0.5 * a * (1.0 + np.tanh(inner))
+    return 0.5 * a * (1.0 + _gelu_tanh(a))
 
 
 def gelu_grad(m) -> np.ndarray:
     """Elementwise derivative of the tanh-form gelu."""
     a = np.asarray(m, dtype=np.float64)
-    inner = _GELU_C * (a + _GELU_A * a**3)
-    t = np.tanh(inner)
+    t = _gelu_tanh(a)
     return 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * a * a)
 
 

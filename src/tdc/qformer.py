@@ -7,8 +7,10 @@ Architecture (per layer, pre-norm residual blocks):
     2. cross-attention in which only the query rows attend over the
        projected key/value tokens [visual @ W_v ; audio @ W_a],
     3. a gelu FFN with hidden width 4x the model dim.
-A final layer norm is applied and the first K rows are the output.  No
-positional encoding is applied anywhere; key/value tokens form a set.
+The last layer computes only the K query rows: there the text rows serve
+only as self-attention keys and values.  A final layer norm of those K rows
+is the output.  No positional encoding is applied anywhere; key/value
+tokens form a set.
 
 One forward and one analytic backward serve a single frame and a stack of
 frames that share the static frame and text.  The forward builds its own
@@ -204,7 +206,6 @@ class _ForwardCache(NamedTuple):
     audio: np.ndarray
     ids: tuple[int, ...]
     kv: np.ndarray
-    n_rows: int
     layers: list[_LayerCache]
     final_ln: tuple
 
@@ -306,17 +307,18 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
         p = f"layers.{i}."
+        # only the query rows reach the output, so the last layer computes those alone
+        r = k if i == cfg.layers - 1 else x.shape[-2]
         h1, ln1 = kernels.layer_norm(x, t[p + "self_norm.gamma"], t[p + "self_norm.beta"])
         sa, self_cache = _attn_forward(
-            h1, h1, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"], cfg.heads
+            h1[..., :r, :], h1, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"], cfg.heads
         )
-        x = x + sa
+        x = x[..., :r, :] + sa
 
-        h2, ln2 = kernels.layer_norm(x, t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"])
+        h2, ln2 = kernels.layer_norm(x[..., :k, :], t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"])
         ca, cross_cache = _attn_forward(
-            h2[..., :k, :], kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
+            h2, kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
         )
-        x = x.copy()
         x[..., :k, :] += ca
 
         h3, ln3 = kernels.layer_norm(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"])
@@ -326,9 +328,9 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
 
         layer_caches.append(_LayerCache(ln1, self_cache, ln2, cross_cache, ln3, h3, u, g))
 
-    out, final_ln = kernels.layer_norm(x[..., :k, :], t["final_norm.gamma"], t["final_norm.beta"])
+    out, final_ln = kernels.layer_norm(x, t["final_norm.gamma"], t["final_norm.beta"])
     if return_cache:
-        return out, _ForwardCache(pooled, v, a, ids, kv, x.shape[-2], layer_caches, final_ln)
+        return out, _ForwardCache(pooled, v, a, ids, kv, layer_caches, final_ln)
     return out
 
 
@@ -348,12 +350,9 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         raise ShapeError(f"upstream shape {up.shape} does not match output shape {lead + (k, d)}")
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
 
-    d_rows, d_gamma, d_beta = kernels.layer_norm_grad(up, cache.final_ln, t["final_norm.gamma"])
+    d_x, d_gamma, d_beta = kernels.layer_norm_grad(up, cache.final_ln, t["final_norm.gamma"])
     grads["final_norm.gamma"] += d_gamma
     grads["final_norm.beta"] += d_beta
-
-    d_x = np.zeros(lead + (cache.n_rows, d))
-    d_x[..., :k, :] = d_rows
     d_kv = np.zeros_like(cache.kv)
 
     for i in reversed(range(cfg.layers)):
@@ -381,27 +380,27 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         for w, g_ in wgrads.items():
             grads[p + "cross." + w] += g_
         d_kv += d_kv_in
-        d_h2 = np.zeros_like(d_x)
-        d_h2[..., :k, :] = d_q_in
-        d_x2, d_gamma, d_beta = kernels.layer_norm_grad(d_h2, lc.ln2, t[p + "cross_norm.gamma"])
+        d_x2, d_gamma, d_beta = kernels.layer_norm_grad(d_q_in, lc.ln2, t[p + "cross_norm.gamma"])
         grads[p + "cross_norm.gamma"] += d_gamma
         grads[p + "cross_norm.beta"] += d_beta
-        d_x = d_x + d_x2
+        d_x[..., :k, :] += d_x2
 
-        # self-attention block: q_in and kv_in are the same tensor
+        # self-attention block: q_in is the first r rows of kv_in (all but in the last layer)
         d_q_in, d_kv_in, wgrads = _attn_backward(
             d_x, lc.self_attn, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"]
         )
         for w, g_ in wgrads.items():
             grads[p + "self." + w] += g_
-        d_h1 = d_q_in + d_kv_in
-        d_x1, d_gamma, d_beta = kernels.layer_norm_grad(d_h1, lc.ln1, t[p + "self_norm.gamma"])
+        r = d_q_in.shape[-2]
+        d_kv_in[..., :r, :] += d_q_in
+        d_x1, d_gamma, d_beta = kernels.layer_norm_grad(d_kv_in, lc.ln1, t[p + "self_norm.gamma"])
         grads[p + "self_norm.gamma"] += d_gamma
         grads[p + "self_norm.beta"] += d_beta
-        d_x = d_x + d_x1
+        d_x1[..., :r, :] += d_x
+        d_x = d_x1
 
     # every frame starts from the same query and text rows
-    d_x = d_x.reshape(-1, cache.n_rows, d).sum(axis=0)
+    d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
     d_queries = d_x[:k]
     if cache.ids:
         np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])

@@ -115,6 +115,42 @@ def test_exit_code_io(capsys, tmp_path):
     assert main(["budget", "--input", str(truncated)]) == 2
 
 
+@pytest.mark.parametrize("damage", ["truncated", "bad-magic"])
+@pytest.mark.parametrize("command", ["segment", "budget", "compress", "lvcot"])
+def test_corrupt_timeline_is_one_io_error_line(capsys, tmp_path, command, damage):
+    path = gen_file(capsys, tmp_path, frames=4, boundaries="")
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"JUNK" + data[4:])
+    out = tmp_path / "s.tdcs"
+    extra = {"compress": ["--output", str(out)], "lvcot": ["--text", "q"]}.get(command, [])
+    code, _, err = run(capsys, command, "--input", str(path), *extra)
+    assert code == 2
+    assert err.startswith("tdc: i/o error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, code, kind",
+    [
+        (b"[1, ", 2, "i/o"),  # malformed JSON
+        (b"\xff\xfe", 2, "i/o"),  # not UTF-8
+        (b'{"answers": ["A"]}', 1, "usage"),  # JSON, but not a list of strings
+    ],
+    ids=["malformed-json", "not-utf8", "not-a-list"],
+)
+def test_lvcot_bad_script_file(capsys, tmp_path, content, code, kind):
+    path = gen_file(capsys, tmp_path, frames=9, boundaries="")
+    script = tmp_path / "script.json"
+    script.write_bytes(content)
+    got, _, err = run(
+        capsys, "lvcot", "--input", str(path), "--text", "q",
+        "--answerer", "mock", "--script", str(script),
+    )
+    assert got == code
+    assert err.startswith(f"tdc: {kind} error:") and err.count("\n") == 1
+
+
 def test_exit_code_numeric(capsys, tmp_path):
     # zero descriptors make similarity undefined
     tl = tdc.VideoTimeline(

@@ -67,6 +67,16 @@ def test_gelu_grad_matches_finite_differences():
     np.testing.assert_allclose(kernels.gelu_grad(x), fd, atol=1e-8)
 
 
+def test_gelu_and_grad_match_tanh_formula_with_power():
+    x = np.concatenate([np.linspace(-30.0, 30.0, 6001), [0.0, 1e-8, -1e-8]])
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh(c * (x + a * np.power(x, 3)))
+    gelu = 0.5 * x * (1.0 + t)
+    grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * np.power(x, 2))
+    np.testing.assert_allclose(kernels.gelu(x), gelu, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(kernels.gelu_grad(x), grad, rtol=1e-13, atol=1e-15)
+
+
 def test_pool_sizes_near_equal_larger_first():
     # enumeration of the partition rule: 10 items over 4 groups
     assert kernels.pool_group_sizes(10, 4) == [3, 3, 2, 2]

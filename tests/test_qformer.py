@@ -206,6 +206,14 @@ def test_grad_check_passes_and_is_deterministic():
         assert r1.per_tensor.keys() == qformer.expected_shapes(cfg).keys()
 
 
+def test_grad_check_full_row_layer_feeds_trimmed_last_layer():
+    # layer 0 computes every [query; text] row, the last layer only the query
+    # rows; criterion 05's one-layer configs never chain the two
+    cfg = qformer.small_config(layers=2, model_dim=8, query_type="avgpool")
+    report = tdc.grad_check(cfg, seed=3)
+    assert report.max_relative_error <= 1e-5, report.per_tensor
+
+
 def test_grad_check_fault_injection_isolates_tensor(monkeypatch):
     real_backward = qformer.backward
 
