@@ -37,9 +37,10 @@ from .qformer import (
     small_config,
     train_step,
 )
-from .segmenter import ScenePartition, SegmenterConfig, frame_similarities, segment_scenes
+from .segmenter import SegmenterConfig, frame_similarities, segment_scenes
 from .timeline import (
     InstructionTokens,
+    ScenePartition,
     SynthSpec,
     VideoTimeline,
     read_tdcf,

@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--boundaries", default="", help="comma-separated cut frame indices")
     gen.add_argument("--noise", type=float, default=timeline.DEFAULT_NOISE)
     gen.add_argument("--dims", type=int, default=timeline.DEFAULT_DIM,
-                     help="visual/audio/descriptor embedding dim (design default)")
+                     help="visual, audio and descriptor embedding dim (design default)")
 
     # options shared by the subcommands that read a timeline file
     scenes = _Parser(add_help=False)
@@ -71,7 +71,8 @@ def _build_parser() -> _Parser:
     scenes.add_argument("--tau", type=float, default=segmenter.DEFAULT_TAU)
     windows = _Parser(add_help=False, parents=[scenes])
     windows.add_argument("--window", type=int, default=compressor.DEFAULT_WINDOW)
-    windows.add_argument("--k", type=int, default=16, help="query tokens per dynamic frame")
+    windows.add_argument("--k", type=int, default=qformer.QFormerConfig.queries,
+                         help="query tokens per dynamic frame")
     model = _Parser(add_help=False)
     model.add_argument("--seed", type=int, default=0, help="compressor parameter seed")
     model.add_argument("--query-type", choices=qformer.QUERY_TYPES, default="avgpool")
@@ -106,9 +107,7 @@ def _cmd_gen(args) -> None:
         seed=args.seed,
         frames=args.frames,
         boundaries=_parse_boundaries(args.boundaries),
-        visual_dim=args.dims,
-        audio_dim=args.dims,
-        descriptor_dim=args.dims,
+        dim=args.dims,
         noise=args.noise,
     )
     tl = timeline.synth_generate(spec)

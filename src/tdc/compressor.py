@@ -18,8 +18,7 @@ import numpy as np
 from . import qformer
 from .binio import ByteReader, ByteWriter
 from .errors import ArgumentError, NumericError, ShapeError
-from .segmenter import ScenePartition
-from .timeline import InstructionTokens, VideoTimeline
+from .timeline import InstructionTokens, ScenePartition, VideoTimeline
 
 STREAM_MAGIC = b"TDCS"
 STREAM_VERSION = 1
@@ -47,7 +46,6 @@ class Window:
 @dataclass(frozen=True)
 class WindowPlan:
     frame_count: int
-    window_length: int
     windows: tuple[Window, ...]
 
 
@@ -83,7 +81,7 @@ def make_windows(partition: ScenePartition, window_length: int = DEFAULT_WINDOW)
             windows.append(
                 Window(scene_index, w_start, tuple(range(w_start + 1, w_stop)))
             )
-    return WindowPlan(partition.frame_count, window_length, tuple(windows))
+    return WindowPlan(partition.frame_count, tuple(windows))
 
 
 def _window_token_count(n_frames: int, visual_tokens: int, audio_tokens: int, k: int) -> int:
@@ -105,8 +103,8 @@ def assemble_tdc(
         raise ShapeError(
             f"plan covers {plan.frame_count} frames, timeline has {tl.frame_count}"
         )
-    visual = tl.visual_tokens.astype(np.float64)
-    audio = tl.audio_tokens.astype(np.float64)
+    # float32 frames: the projections and forward convert what they read
+    visual, audio = tl.visual_tokens, tl.audio_tokens
     if visual.shape[2] != cfg.visual_dim:
         raise ShapeError(f"visual dim {visual.shape[2]} does not match config {cfg.visual_dim}")
     if audio.shape[1] > 0 and audio.shape[2] != cfg.audio_dim:
@@ -146,12 +144,18 @@ def assemble_tdc(
         frame_index=np.concatenate(frames),
         window_index=np.concatenate(windows),
     )
-    if not np.isfinite(stream.tokens).all():
-        row = int(np.flatnonzero(~np.isfinite(stream.tokens).all(axis=1))[0])
+    _check_finite(stream.tokens, stream, "is not finite")
+    return stream
+
+
+def _check_finite(tokens: np.ndarray, stream: TDCStream, problem: str) -> None:
+    """Raise NumericError naming the first of the stream's token rows that is not finite."""
+    finite = np.isfinite(tokens).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
         frame = int(stream.frame_index[row])
         where = "the separator" if frame < 0 else f"frame {frame}"
-        raise NumericError(f"stream token {row} from {where} is not finite")
-    return stream
+        raise NumericError(f"stream token {row} from {where} {problem}")
 
 
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:
@@ -167,13 +171,19 @@ def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig
 
 
 def write_stream(stream: TDCStream, path) -> None:
-    """Serialize the token matrix with a one-byte-per-token provenance channel."""
+    """Serialize the token matrix with a one-byte-per-token provenance channel.
+
+    Raises NumericError, and writes nothing, if a token overflows float32.
+    """
+    with np.errstate(over="ignore"):
+        tokens = stream.tokens.astype("<f4")
+    _check_finite(tokens, stream, "overflows float32")
     w = ByteWriter()
     w.raw(STREAM_MAGIC)
     w.u32(STREAM_VERSION)
     w.u32(len(stream))
     w.u32(stream.tokens.shape[1])
-    w.f32_array(stream.tokens)
+    w.f32_array(tokens)
     w.raw(stream.provenance.astype(np.uint8).tobytes())
     Path(path).write_bytes(w.getvalue())
 

@@ -18,14 +18,6 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, raising ShapeError otherwise."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
 def softmax_rows(m) -> np.ndarray:
     """Softmax over the last axis, computed with max-subtraction for stability.
 
@@ -94,7 +86,7 @@ def gelu_grad(m) -> np.ndarray:
 def pool_group_sizes(rows: int, k: int) -> list[int]:
     """Sizes of k contiguous near-equal groups over `rows` items, larger first."""
     if not 1 <= k <= rows:
-        raise ArgumentError(f"group count {k} must be in [1, {rows}]")
+        raise ArgumentError(f"cannot pool {rows} rows into {k} groups")
     base, extra = divmod(rows, k)
     return [base + 1] * extra + [base] * (k - extra)
 

@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .compressor import TDCStream, assemble_tdc, make_windows
+from .compressor import DEFAULT_WINDOW, TDCStream, assemble_tdc, make_windows
 from .errors import ArgumentError, NumericError, OrchestrationError
 from .qformer import QFormerParams
 from .segmenter import SegmenterConfig, segment_scenes
@@ -74,7 +74,7 @@ class CompressionContext:
 
     params: QFormerParams
     segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
-    window_length: int = 8
+    window_length: int = DEFAULT_WINDOW
 
 
 @dataclass(frozen=True)

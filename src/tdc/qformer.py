@@ -161,15 +161,10 @@ def build_queries(params: QFormerParams, static_visual):
     cfg = params.cfg
     if cfg.query_type == "learned":
         return params["learned_queries"], None
-    static = kernels.as_matrix(static_visual, "static visual tokens")
-    if static.shape[1] != cfg.visual_dim:
-        raise ShapeError(
-            f"static visual dim {static.shape[1]} does not match config {cfg.visual_dim}"
-        )
-    if cfg.queries > static.shape[0]:
-        raise ArgumentError(
-            f"cannot pool {static.shape[0]} static tokens into {cfg.queries} queries"
-        )
+    static = np.asarray(static_visual, dtype=np.float64)
+    if static.ndim != 2 or static.shape[1] != cfg.visual_dim:
+        raise ShapeError(f"static visual tokens {static.shape} are not (m, {cfg.visual_dim})")
+    # pool_matrix rejects fewer static tokens than queries
     pooled = kernels.pool_matrix(static.shape[0], cfg.queries) @ static
     return pooled @ params["visual_proj"], pooled
 
@@ -489,9 +484,9 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
 class TrainBatch:
     """One static frame, several dynamic frames, and a fixed linear readout."""
 
-    static_visual: np.ndarray
-    dynamic_visual: tuple[np.ndarray, ...]
-    dynamic_audio: tuple[np.ndarray, ...]
+    static_visual: np.ndarray  # (m_v, visual_dim)
+    dynamic_visual: np.ndarray  # (F, m_v, visual_dim), stacked as forward takes it
+    dynamic_audio: np.ndarray  # (F, m_a, audio_dim)
     text: InstructionTokens | None
     readout: np.ndarray  # (model_dim, visual_dim), not trained
     target: np.ndarray  # (visual_dim,) mean dynamic-frame visual token
@@ -511,18 +506,14 @@ def make_train_batch(
     center = rng.standard_normal(cfg.visual_dim)
     base_v = center + 0.5 * rng.standard_normal((visual_tokens, cfg.visual_dim))
     static = base_v + 0.1 * rng.standard_normal(base_v.shape)
-    dynamic_visual = tuple(
-        base_v + 0.3 * rng.standard_normal(base_v.shape) for _ in range(frames - 1)
-    )
-    dynamic_audio = tuple(
-        rng.standard_normal((audio_tokens, cfg.audio_dim)) for _ in range(frames - 1)
-    )
+    dynamic_visual = base_v + 0.3 * rng.standard_normal((frames - 1, *base_v.shape))
+    dynamic_audio = rng.standard_normal((frames - 1, audio_tokens, cfg.audio_dim))
     text = None
     if cfg.text_conditioning:
         ids = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=4))
         text = InstructionTokens(ids)
     readout = rng.standard_normal((cfg.model_dim, cfg.visual_dim)) / np.sqrt(cfg.model_dim)
-    target = np.mean([f.mean(axis=0) for f in dynamic_visual], axis=0)
+    target = dynamic_visual.mean(axis=1).mean(axis=0)
     return TrainBatch(static, dynamic_visual, dynamic_audio, text, readout, target)
 
 
@@ -540,8 +531,9 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     cfg = params.cfg
     k = cfg.queries
     with np.errstate(invalid="ignore", over="ignore"):
-        visual, audio = np.stack(batch.dynamic_visual), np.stack(batch.dynamic_audio)
-        out, cache = forward(params, batch.static_visual, visual, audio, text=batch.text, return_cache=True)
+        out, cache = forward(
+            params, batch.static_visual, batch.dynamic_visual, batch.dynamic_audio, text=batch.text, return_cache=True
+        )
         err = out.mean(axis=-2) @ batch.readout - batch.target  # (frames, visual_dim)
         loss = float(np.sum(err * err)) / err.size
     if not np.isfinite(loss):
@@ -643,7 +635,9 @@ def load_params(path) -> QFormerParams:
                 f"tensor {name!r} has shape {shape}, expected {shapes[name]}", name_offset
             )
         flat = r.f32_array(int(np.prod(shape, dtype=np.int64)), f"tensor {name!r} payload")
-        tensors[name] = flat.reshape(shape).astype(np.float64)
+        # a signalling NaN parses like any NaN instead of setting the invalid flag
+        with np.errstate(invalid="ignore"):
+            tensors[name] = flat.reshape(shape).astype(np.float64)
     r.expect_end()
     if set(tensors) != set(shapes):
         raise FormatError("duplicate tensor names in checkpoint", r.offset)

@@ -8,12 +8,12 @@ kept, ties broken toward the earlier index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, NumericError
-from .timeline import VideoTimeline
+from .timeline import ScenePartition, VideoTimeline
 
 DEFAULT_MAX_SCENES = 24
 DEFAULT_TAU = 0.85
@@ -33,40 +33,11 @@ class SegmenterConfig:
             raise ArgumentError(f"tau must be in [-1, 1], got {self.tau}")
 
 
-@dataclass(frozen=True)
-class ScenePartition:
-    """Sorted cut indices partitioning [0, frame_count) into scenes.
-
-    ``cut_similarities`` holds the similarity that placed each cut when the
-    partition comes from segment_scenes, and is empty otherwise.
-    """
-
-    frame_count: int
-    boundaries: tuple[int, ...]
-    cut_similarities: tuple[float, ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if self.frame_count < 1:
-            raise ArgumentError(f"frame_count must be >= 1, got {self.frame_count}")
-        if list(self.boundaries) != sorted(set(self.boundaries)):
-            raise ArgumentError(f"boundaries must be strictly increasing, got {self.boundaries}")
-        for b in self.boundaries:
-            if not 0 < b < self.frame_count:
-                raise ArgumentError(f"boundary {b} outside (0, {self.frame_count})")
-
-    @property
-    def scene_count(self) -> int:
-        return len(self.boundaries) + 1
-
-    @property
-    def scenes(self) -> tuple[tuple[int, int], ...]:
-        edges = (0, *self.boundaries, self.frame_count)
-        return tuple((edges[i], edges[i + 1]) for i in range(len(edges) - 1))
-
-
 def frame_similarities(tl: VideoTimeline) -> np.ndarray:
     """Cosine similarity of each consecutive descriptor pair, clipped into [-1, 1]; length T-1."""
-    desc = tl.descriptors.astype(np.float64)
+    # casting a signalling NaN sets the invalid flag; the norm check reports it
+    with np.errstate(invalid="ignore"):
+        desc = tl.descriptors.astype(np.float64)
     norms = np.linalg.norm(desc, axis=1)
     # finite nonzero norms bound every dot product, so each similarity is finite
     if not np.isfinite(norms).all():

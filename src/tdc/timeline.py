@@ -1,9 +1,13 @@
-"""Per-second multimodal token timelines, a binary container, and synthetic data.
+"""Per-second multimodal token timelines, their scene partitions, a binary
+container, and synthetic data.
 
 A timeline holds, for each of T seconds (one frame per second): a visual
 token matrix, an audio token matrix, and a single descriptor vector used
 only for inter-frame similarity.  Token data lives in float32 (the storage
-dtype); numeric modules upcast to float64 on entry.
+dtype): VideoTimeline casts and freezes its arrays in one copy, and numeric
+code converts to float64 only the frames it reads.  A ScenePartition cuts
+[0, T) into scenes; the segmenter finds one from the descriptors, and the
+synthetic generator plants one.
 
 TDCF container layout (all integers little-endian):
 
@@ -19,8 +23,9 @@ TDCF container layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +74,13 @@ class VideoTimeline:
     descriptors: np.ndarray  # (T, D_d) float32
 
     def __post_init__(self):
+        # one float32 copy, frozen; arrays that already are both are shared
         for name in ("visual_tokens", "audio_tokens", "descriptors"):
             arr = getattr(self, name)
-            if arr.dtype != np.float32:
-                object.__setattr__(self, name, arr.astype(np.float32))
+            if arr.dtype != np.float32 or arr.flags.writeable:
+                arr = arr.astype(np.float32)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         v, a, d = self.visual_tokens, self.audio_tokens, self.descriptors
         if v.ndim != 3 or a.ndim != 3 or d.ndim != 2:
             raise ShapeError(
@@ -86,12 +94,6 @@ class VideoTimeline:
             )
         if v.shape[0] < 1:
             raise ArgumentError("timeline must contain at least one frame")
-        for name in ("visual_tokens", "audio_tokens", "descriptors"):
-            arr = getattr(self, name)
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
 
     @property
     def frame_count(self) -> int:
@@ -119,22 +121,57 @@ class VideoTimeline:
 
 
 @dataclass(frozen=True)
+class ScenePartition:
+    """Sorted cut indices partitioning [0, frame_count) into scenes.
+
+    ``cut_similarities`` holds the similarity that placed each cut when the
+    partition comes from segment_scenes, and is empty otherwise.
+    """
+
+    frame_count: int
+    boundaries: tuple[int, ...]
+    cut_similarities: tuple[float, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.frame_count < 1:
+            raise ArgumentError(f"frame_count must be >= 1, got {self.frame_count}")
+        if list(self.boundaries) != sorted(set(self.boundaries)):
+            raise ArgumentError(f"boundaries must be strictly increasing, got {self.boundaries}")
+        for b in self.boundaries:
+            if not 0 < b < self.frame_count:
+                raise ArgumentError(f"boundary {b} outside (0, {self.frame_count})")
+
+    @property
+    def scene_count(self) -> int:
+        return len(self.boundaries) + 1
+
+    @property
+    def scenes(self) -> tuple[tuple[int, int], ...]:
+        edges = (0, *self.boundaries, self.frame_count)
+        return tuple((edges[i], edges[i + 1]) for i in range(len(edges) - 1))
+
+
+@dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for a deterministic synthetic timeline with planted scene cuts."""
+    """Recipe for a deterministic synthetic timeline with planted scene cuts.
+
+    ``dim`` is the visual, audio and descriptor embedding width alike.
+    """
 
     seed: int = 0
     frames: int = 60
     boundaries: tuple[int, ...] = ()
     visual_tokens: int = VISUAL_TOKENS_PER_FRAME
     audio_tokens: int = AUDIO_TOKENS_PER_FRAME
-    visual_dim: int = DEFAULT_DIM
-    audio_dim: int = DEFAULT_DIM
-    descriptor_dim: int = DEFAULT_DIM
+    dim: int = DEFAULT_DIM
     noise: float = DEFAULT_NOISE
 
-
-def _scene_of_frame(boundaries: tuple[int, ...], t: int) -> int:
-    return int(np.searchsorted(np.asarray(boundaries), t, side="right"))
+    def __post_init__(self):
+        ScenePartition(self.frames, self.boundaries)  # checks frames and boundaries
+        if self.dim < 1:
+            raise ArgumentError(f"dim must be >= 1, got {self.dim}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ArgumentError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _descriptor_centers(rng: np.random.Generator, n_scenes: int, dim: int) -> np.ndarray:
@@ -156,41 +193,29 @@ def _descriptor_centers(rng: np.random.Generator, n_scenes: int, dim: int) -> np
 
 def synth_generate(spec: SynthSpec) -> VideoTimeline:
     """Generate a timeline with planted scene structure, deterministic per recipe."""
-    t_total = spec.frames
-    if t_total < 1:
-        raise ArgumentError(f"frames must be >= 1, got {t_total}")
-    bounds = tuple(spec.boundaries)
-    if list(bounds) != sorted(set(bounds)):
-        raise ArgumentError(f"boundaries must be strictly increasing, got {bounds}")
-    for b in bounds:
-        if not 0 < b < t_total:
-            raise ArgumentError(f"boundary {b} outside (0, {t_total})")
-    n_scenes = len(bounds) + 1
-
+    partition = ScenePartition(spec.frames, spec.boundaries)
+    t_total, dim = spec.frames, spec.dim
     rng = np.random.default_rng(spec.seed)
-    centers_d = _descriptor_centers(rng, n_scenes, spec.descriptor_dim)
+    centers_d = _descriptor_centers(rng, partition.scene_count, dim)
 
-    centers_v = rng.standard_normal((n_scenes, spec.visual_dim))
-    centers_a = rng.standard_normal((n_scenes, spec.audio_dim))
-    token_offsets_v = 0.5 * rng.standard_normal((spec.visual_tokens, spec.visual_dim))
-    token_offsets_a = 0.5 * rng.standard_normal((spec.audio_tokens, spec.audio_dim))
+    centers_v = rng.standard_normal((partition.scene_count, dim))
+    centers_a = rng.standard_normal((partition.scene_count, dim))
+    token_offsets_v = 0.5 * rng.standard_normal((spec.visual_tokens, dim))
+    token_offsets_a = 0.5 * rng.standard_normal((spec.audio_tokens, dim))
 
-    visual = np.empty((t_total, spec.visual_tokens, spec.visual_dim))
-    audio = np.empty((t_total, spec.audio_tokens, spec.audio_dim))
-    desc = np.empty((t_total, spec.descriptor_dim))
-    for t in range(t_total):
-        s = _scene_of_frame(bounds, t)
-        visual[t] = centers_v[s] + token_offsets_v + spec.noise * rng.standard_normal(
-            (spec.visual_tokens, spec.visual_dim)
-        )
-        audio[t] = centers_a[s] + token_offsets_a + spec.noise * rng.standard_normal(
-            (spec.audio_tokens, spec.audio_dim)
-        )
-        desc[t] = centers_d[s] + spec.noise * rng.standard_normal(spec.descriptor_dim)
-
-    return VideoTimeline(
-        visual.astype(np.float32), audio.astype(np.float32), desc.astype(np.float32)
-    )
+    visual = np.empty((t_total, spec.visual_tokens, dim))
+    audio = np.empty((t_total, spec.audio_tokens, dim))
+    desc = np.empty((t_total, dim))
+    for s, (start, stop) in enumerate(partition.scenes):
+        for t in range(start, stop):
+            visual[t] = centers_v[s] + token_offsets_v + spec.noise * rng.standard_normal(
+                (spec.visual_tokens, dim)
+            )
+            audio[t] = centers_a[s] + token_offsets_a + spec.noise * rng.standard_normal(
+                (spec.audio_tokens, dim)
+            )
+            desc[t] = centers_d[s] + spec.noise * rng.standard_normal(dim)
+    return VideoTimeline(visual, audio, desc)
 
 
 def _write_stream(w: ByteWriter, tag: int, data: np.ndarray) -> None:

@@ -6,6 +6,10 @@ import pytest
 import tdc
 
 
+# a NaN with the quiet bit clear, which a flipped exponent bit can leave in a file
+SIGNALLING_NAN = np.array([0x7FA00000], dtype=np.uint32).view(np.float32)[0]
+
+
 def random_timeline(rng, frames, visual_tokens=6, audio_tokens=4, dim=8):
     """Small random timeline for format and oracle tests."""
     return tdc.VideoTimeline(

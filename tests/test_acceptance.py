@@ -194,8 +194,7 @@ def test_criterion_08_lvcot_golden_trace():
     with criterion(8, "golden LVCoT trace: spans, M+1 calls, interval-tagged notes", 1.0):
         tl = tdc.synth_generate(
             tdc.SynthSpec(seed=9, frames=90, boundaries=(30, 60),
-                          visual_tokens=6, audio_tokens=4,
-                          visual_dim=8, audio_dim=8, descriptor_dim=8)
+                          visual_tokens=6, audio_tokens=4, dim=8)
         )
         cfg = tdc.QFormerConfig(
             model_dim=16, heads=2, layers=1, queries=3, visual_dim=8, audio_dim=8, seed=1

@@ -6,6 +6,8 @@ import pytest
 import tdc
 from tdc.cli import main
 
+from conftest import SIGNALLING_NAN
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -28,6 +30,18 @@ def test_gen_is_bitwise_deterministic(capsys, tmp_path):
     a = gen_file(capsys, tmp_path, "a.tdcf")
     b = gen_file(capsys, tmp_path, "b.tdcf")
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option", ["--noise=nan", "--noise=inf", "--noise=-inf", "--noise=-1", "--dims=0", "--dims=-1"]
+)
+def test_gen_bad_value_is_one_usage_error_line(capsys, tmp_path, option):
+    path = tmp_path / "t.tdcf"
+    code, _, err = run(capsys, "gen", "--output", str(path), "--frames", "4", option)
+    assert code == 1
+    assert err.startswith("tdc: usage error:") and err.count("\n") == 1
+    assert ("noise" if "noise" in option else "dim") in err
+    assert not path.exists()
 
 
 def test_segment_record(capsys, tmp_path):
@@ -163,16 +177,18 @@ def test_exit_code_numeric(capsys, tmp_path):
     assert main(["segment", "--input", str(path)]) == 3
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, SIGNALLING_NAN], ids=["nan", "inf", "signalling-nan"])
 def test_segment_nonfinite_descriptor_is_numeric(capsys, tmp_path, bad):
     desc = np.ones((5, 4), dtype=np.float32)
     desc[3, 1] = bad
     tl = tdc.VideoTimeline(np.ones((5, 2, 4), dtype=np.float32), np.ones((5, 1, 4), dtype=np.float32), desc)
     path = tmp_path / "nonfinite.tdcf"
     tdc.write_tdcf(tl, path)
+    assert path.read_bytes().count(np.float32(bad).tobytes()) == 1  # stored bit for bit
     code, _, err = run(capsys, "segment", "--input", str(path))
     assert code == 3
     assert "not finite" in err and "frame 3" in err
+    assert err.count("\n") == 1
 
 
 def inf_token_file(tmp_path):
@@ -190,6 +206,21 @@ def test_compress_nonfinite_token_is_numeric_and_writes_nothing(capsys, tmp_path
     code, _, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
     assert code == 3
     assert "not finite" in err and "frame 3" in err
+    assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compress_float32_overflow_is_numeric_and_writes_nothing(capsys, tmp_path):
+    # a finite static token near the float32 limit projects past it
+    tl = tdc.synth_generate(tdc.SynthSpec(seed=1, frames=3))
+    visual = tl.visual_tokens.copy()
+    visual[0, 0, :] = 3e38
+    path = tmp_path / "big.tdcf"
+    tdc.write_tdcf(tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors), path)
+    out = tmp_path / "s.tdcs"
+    code, _, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
+    assert code == 3
+    assert "overflows float32" in err and "frame 0" in err
     assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
     assert not out.exists()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,25 @@ def test_more_queries_strictly_increase_budget(single_scene_timeline):
     k32 = tdc.token_budget(single_scene_timeline, plan, tdc.QFormerConfig(queries=32))
     for a, b, w in zip(k16.per_window, k32.per_window, plan.windows):
         assert b - a == (w.frame_count - 1) * 16
+
+
+def test_assemble_does_not_copy_the_timeline_to_float64():
+    # many tokens per frame and one long window per scene: the stream is small,
+    # so a whole-timeline float64 copy would dominate the peak
+    frames, tokens = 64, 1024
+    tl = random_timeline(np.random.default_rng(0), frames, visual_tokens=tokens, audio_tokens=4, dim=8)
+    params = tdc.init_params(
+        tdc.QFormerConfig(model_dim=16, heads=2, layers=1, queries=4, visual_dim=8, audio_dim=8)
+    )
+    plan = tdc.make_windows(ScenePartition(frames, (frames // 2,)), frames)
+    tracemalloc.start()
+    try:
+        tdc.assemble_tdc(tl, plan, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float64_visual = tl.visual_tokens.size * 8
+    assert peak < float64_visual, f"peak {peak} bytes, float64 visual copy {float64_visual}"
 
 
 def test_plan_timeline_mismatch():

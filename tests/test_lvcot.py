@@ -27,7 +27,7 @@ def small_timeline(frames, boundaries=(), seed=0):
     return tdc.synth_generate(
         tdc.SynthSpec(
             seed=seed, frames=frames, boundaries=boundaries,
-            visual_tokens=6, audio_tokens=4, visual_dim=8, audio_dim=8, descriptor_dim=8,
+            visual_tokens=6, audio_tokens=4, dim=8,
         )
     )
 

@@ -5,7 +5,7 @@ import tdc
 from tdc import kernels, qformer
 from tdc.errors import ArgumentError, FormatError, NumericError, ShapeError, TruncatedPayloadError
 
-from conftest import with_queries
+from conftest import SIGNALLING_NAN, with_queries
 
 
 def tiny_config(**overrides):
@@ -364,3 +364,15 @@ def test_checkpoint_non_utf8_tensor_name(tmp_path):
     with pytest.raises(FormatError, match="UTF-8") as err:
         tdc.load_params(bad)
     assert err.value.offset == name_at
+
+
+def test_checkpoint_signalling_nan_parses_like_any_nan(tmp_path):
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config()), path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(np.float32(1.0).tobytes(), raw.index(b"final_norm.gamma"))
+    raw[at : at + 4] = SIGNALLING_NAN.tobytes()
+    bad = tmp_path / "snan.tdcp"
+    bad.write_bytes(bytes(raw))
+    loaded = tdc.load_params(bad)
+    assert np.isnan(loaded["final_norm.gamma"]).sum() == 1
