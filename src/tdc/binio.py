@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import io
+import math
 import struct
+from contextlib import contextmanager
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -10,22 +14,25 @@ from .errors import BadMagicError, FormatError, TruncatedPayloadError, VersionMi
 
 
 class ByteReader:
-    """Sequential reader over an in-memory byte string, tracking the offset."""
+    """Sequential reader over an open binary file, tracking the offset; every
+    size is checked against the bytes left before anything is allocated."""
 
-    def __init__(self, data: bytes):
-        self._data = data
+    def __init__(self, f: BinaryIO):
+        self._f = f
         self._pos = 0
+        self._size = f.seek(0, io.SEEK_END)
+        f.seek(0)
 
     @property
     def offset(self) -> int:
         return self._pos
 
+    @property
+    def left(self) -> int:
+        return self._size - self._pos
+
     def take(self, n: int, what: str) -> bytes:
-        if self._pos + n > len(self._data):
-            raise TruncatedPayloadError(f"file ends inside {what}", self._pos)
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+        return self.array((n,), "u1", what).tobytes()
 
     def expect_magic(self, magic: bytes) -> None:
         start = self._pos
@@ -42,8 +49,8 @@ class ByteReader:
             )
 
     def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise FormatError(f"{len(self._data) - self._pos} trailing bytes", self._pos)
+        if self.left:
+            raise FormatError(f"{self.left} trailing bytes", self._pos)
 
     def u8(self, what: str = "u8") -> int:
         return self.take(1, what)[0]
@@ -54,9 +61,24 @@ class ByteReader:
     def u32(self, what: str = "u32") -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def f32_array(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4", count=count)
+    def array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
+        """Read a payload straight into a fresh, aligned, read-only array."""
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        if nbytes > self.left:
+            raise TruncatedPayloadError(f"file ends inside {what}", self._pos)
+        out = np.empty(shape, dtype)
+        if self._f.readinto(out) != nbytes:  # the file shrank while being read
+            raise TruncatedPayloadError(f"file ends inside {what}", self._pos)
+        self._pos += nbytes
+        out.flags.writeable = False
+        return out
+
+
+@contextmanager
+def open_reader(path) -> Iterator[ByteReader]:
+    """A ByteReader over the file at path; a pipe cannot seek, so it is read whole first."""
+    with open(path, "rb") as f:
+        yield ByteReader(f if f.seekable() else io.BytesIO(f.read()))
 
 
 class ByteWriter:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qformer
-from .binio import ByteReader, ByteWriter
+from .binio import ByteWriter, open_reader
 from .errors import ArgumentError, NumericError, ShapeError
 from .timeline import InstructionTokens, ScenePartition, VideoTimeline
 
@@ -190,12 +190,12 @@ def write_stream(stream: TDCStream, path) -> None:
 
 def read_stream(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (tokens float32 (n, dim), provenance uint8 (n,))."""
-    r = ByteReader(Path(path).read_bytes())
-    r.expect_magic(STREAM_MAGIC)
-    r.expect_version(STREAM_VERSION)
-    count = r.u32("token count")
-    dim = r.u32("token dim")
-    tokens = r.f32_array(count * dim, "token payload").reshape(count, dim)
-    prov = np.frombuffer(r.take(count, "provenance payload"), dtype=np.uint8)
-    r.expect_end()
+    with open_reader(path) as r:
+        r.expect_magic(STREAM_MAGIC)
+        r.expect_version(STREAM_VERSION)
+        count = r.u32("token count")
+        dim = r.u32("token dim")
+        tokens = r.array((count, dim), "<f4", "token payload")
+        prov = r.array((count,), "u1", "provenance payload")
+        r.expect_end()
     return tokens, prov

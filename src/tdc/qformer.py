@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .binio import ByteReader, ByteWriter
+from .binio import ByteWriter, open_reader
 from .errors import ArgumentError, FormatError, NumericError, ShapeError
 from .timeline import VOCAB_SIZE, InstructionTokens
 
@@ -551,7 +551,10 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
 
 
 def save_params(params: QFormerParams, path) -> None:
-    """Write a TDCP checkpoint: config header plus named float32 tensors."""
+    """Write a TDCP checkpoint: config header plus named float32 tensors.
+
+    Raises NumericError, and writes nothing, if a tensor is not finite in float32.
+    """
     cfg = params.cfg
     w = ByteWriter()
     w.raw(PARAMS_MAGIC)
@@ -562,83 +565,85 @@ def save_params(params: QFormerParams, path) -> None:
         w.u32(value)
     w.u32(len(params.tensors))
     for name, tensor in params.tensors.items():
+        with np.errstate(over="ignore"):
+            stored = tensor.astype("<f4")
+        if not np.isfinite(stored).all():
+            raise NumericError(f"tensor {name!r} is not finite in float32")
         encoded = name.encode("utf-8")
         w.u16(len(encoded))
         w.raw(encoded)
         w.u8(tensor.ndim)
         for dim in tensor.shape:
             w.u32(dim)
-        w.f32_array(tensor)
+        w.f32_array(stored)
     Path(path).write_bytes(w.getvalue())
 
 
 def load_params(path) -> QFormerParams:
     """Read a TDCP checkpoint back into float64 parameter tensors."""
-    data = Path(path).read_bytes()
-    r = ByteReader(data)
-    r.expect_magic(PARAMS_MAGIC)
-    r.expect_version(PARAMS_VERSION)
-    header_offset = r.offset
-    query_type_idx = r.u8("query type")
-    if query_type_idx >= len(QUERY_TYPES):
-        raise FormatError(f"unknown query type code {query_type_idx}", header_offset)
-    text_flag = r.u8("text flag")
-    model_dim = r.u32("model_dim")
-    heads = r.u32("heads")
-    layers_offset = r.offset
-    layers = r.u32("layers")
-    # each layer stores eight (d, d) float32 attention matrices; bound the
-    # count by the bytes left before expected_shapes loops over the layers
-    left = len(data) - r.offset
-    if layers * 8 * 4 * model_dim * model_dim > left:
-        raise FormatError(f"{layers} layers of width {model_dim} do not fit in the {left} bytes left", layers_offset)
-    queries = r.u32("queries")
-    vocab_offset = r.offset
-    vocab = r.u32("vocab")
-    if vocab != VOCAB_SIZE:
-        raise FormatError(f"text vocabulary {vocab} is not {VOCAB_SIZE}", vocab_offset)
-    visual_dim = r.u32("visual_dim")
-    audio_dim = r.u32("audio_dim")
-    try:
-        cfg = QFormerConfig(
-            model_dim=model_dim,
-            heads=heads,
-            layers=layers,
-            queries=queries,
-            query_type=QUERY_TYPES[query_type_idx],
-            text_conditioning=bool(text_flag),
-            visual_dim=visual_dim,
-            audio_dim=audio_dim,
-        )
-    except ArgumentError as exc:
-        raise FormatError(f"invalid config header: {exc}", header_offset) from exc
-    count = r.u32("tensor count")
-    shapes = expected_shapes(cfg)
-    if count != len(shapes):
-        raise FormatError(f"expected {len(shapes)} tensors, header declares {count}", r.offset - 4)
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_offset = r.offset
-        name_len = r.u16("tensor name length")
-        name_start = r.offset
-        raw_name = r.take(name_len, "tensor name")
+    with open_reader(path) as r:
+        r.expect_magic(PARAMS_MAGIC)
+        r.expect_version(PARAMS_VERSION)
+        header_offset = r.offset
+        query_type_idx = r.u8("query type")
+        if query_type_idx >= len(QUERY_TYPES):
+            raise FormatError(f"unknown query type code {query_type_idx}", header_offset)
+        text_flag = r.u8("text flag")
+        model_dim = r.u32("model_dim")
+        heads = r.u32("heads")
+        layers_offset = r.offset
+        layers = r.u32("layers")
+        # each layer stores eight (d, d) float32 attention matrices; bound the
+        # count by the bytes left before expected_shapes loops over the layers
+        if layers * 8 * 4 * model_dim * model_dim > r.left:
+            raise FormatError(f"{layers} layers of width {model_dim} overrun the {r.left} bytes left", layers_offset)
+        queries = r.u32("queries")
+        vocab_offset = r.offset
+        vocab = r.u32("vocab")
+        if vocab != VOCAB_SIZE:
+            raise FormatError(f"text vocabulary {vocab} is not {VOCAB_SIZE}", vocab_offset)
+        visual_dim = r.u32("visual_dim")
+        audio_dim = r.u32("audio_dim")
         try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError("tensor name is not valid UTF-8", name_start + exc.start) from exc
-        if name not in shapes:
-            raise FormatError(f"unexpected tensor {name!r}", name_offset)
-        ndim = r.u8("tensor rank")
-        shape = tuple(r.u32("tensor dim") for _ in range(ndim))
-        if shape != shapes[name]:
-            raise FormatError(
-                f"tensor {name!r} has shape {shape}, expected {shapes[name]}", name_offset
+            cfg = QFormerConfig(
+                model_dim=model_dim,
+                heads=heads,
+                layers=layers,
+                queries=queries,
+                query_type=QUERY_TYPES[query_type_idx],
+                text_conditioning=bool(text_flag),
+                visual_dim=visual_dim,
+                audio_dim=audio_dim,
             )
-        flat = r.f32_array(int(np.prod(shape, dtype=np.int64)), f"tensor {name!r} payload")
-        # a signalling NaN parses like any NaN instead of setting the invalid flag
-        with np.errstate(invalid="ignore"):
-            tensors[name] = flat.reshape(shape).astype(np.float64)
-    r.expect_end()
+        except ArgumentError as exc:
+            raise FormatError(f"invalid config header: {exc}", header_offset) from exc
+        count = r.u32("tensor count")
+        shapes = expected_shapes(cfg)
+        if count != len(shapes):
+            raise FormatError(f"expected {len(shapes)} tensors, header declares {count}", r.offset - 4)
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name_offset = r.offset
+            name_len = r.u16("tensor name length")
+            name_start = r.offset
+            raw_name = r.take(name_len, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError("tensor name is not valid UTF-8", name_start + exc.start) from exc
+            if name not in shapes:
+                raise FormatError(f"unexpected tensor {name!r}", name_offset)
+            ndim = r.u8("tensor rank")
+            shape = tuple(r.u32("tensor dim") for _ in range(ndim))
+            if shape != shapes[name]:
+                raise FormatError(
+                    f"tensor {name!r} has shape {shape}, expected {shapes[name]}", name_offset
+                )
+            stored = r.array(shape, "<f4", f"tensor {name!r} payload")
+            # a signalling NaN parses like any NaN instead of setting the invalid flag
+            with np.errstate(invalid="ignore"):
+                tensors[name] = stored.astype(np.float64)
+        r.expect_end()
     if set(tensors) != set(shapes):
         raise FormatError("duplicate tensor names in checkpoint", r.offset)
     return QFormerParams(cfg, {name: tensors[name] for name in shapes})

@@ -4,10 +4,11 @@ container, and synthetic data.
 A timeline holds, for each of T seconds (one frame per second): a visual
 token matrix, an audio token matrix, and a single descriptor vector used
 only for inter-frame similarity.  Token data lives in float32 (the storage
-dtype): VideoTimeline casts and freezes its arrays in one copy, and numeric
-code converts to float64 only the frames it reads.  A ScenePartition cuts
-[0, T) into scenes; the segmenter finds one from the descriptors, and the
-synthetic generator plants one.
+dtype): read_tdcf reads each payload straight into a frozen float32 array
+that VideoTimeline keeps, other arrays are cast and frozen in one copy, and
+numeric code converts to float64 only the frames it reads.  A ScenePartition
+cuts [0, T) into scenes; the segmenter finds one from the descriptors, and
+the synthetic generator plants one.
 
 TDCF container layout (all integers little-endian):
 
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import ByteReader, ByteWriter
+from .binio import ByteReader, ByteWriter, open_reader
 from .errors import ArgumentError, FormatError, ShapeError
 
 MAGIC = b"TDCF"
@@ -247,25 +248,25 @@ def _read_stream(r: ByteReader, expected_tag: int, frames: int, what: str) -> np
         raise FormatError(f"expected stream tag {expected_tag} ({what}), found {tag}", tag_offset)
     tokens = r.u32(f"{what} tokens-per-frame")
     dim = r.u32(f"{what} dim")
-    flat = r.f32_array(frames * tokens * dim, f"{what} payload")
+    data = r.array((frames, tokens, dim), "<f4", f"{what} payload")
     if expected_tag == 2:
         if tokens != 1:
             raise FormatError(f"descriptor stream must have 1 token per frame, found {tokens}", tag_offset)
-        return flat.reshape(frames, dim)
-    return flat.reshape(frames, tokens, dim)
+        return data.reshape(frames, dim)
+    return data
 
 
 def read_tdcf(path) -> VideoTimeline:
     """Parse a TDCF file, raising a distinct error per malformation."""
-    r = ByteReader(Path(path).read_bytes())
-    r.expect_magic(MAGIC)
-    r.expect_version(VERSION)
-    frames_offset = r.offset
-    frames = r.u32("frame count")
-    if frames < 1:
-        raise FormatError(f"frame count must be >= 1, found {frames}", frames_offset)
-    visual = _read_stream(r, 0, frames, "visual")
-    audio = _read_stream(r, 1, frames, "audio")
-    desc = _read_stream(r, 2, frames, "descriptor")
-    r.expect_end()
+    with open_reader(path) as r:
+        r.expect_magic(MAGIC)
+        r.expect_version(VERSION)
+        frames_offset = r.offset
+        frames = r.u32("frame count")
+        if frames < 1:
+            raise FormatError(f"frame count must be >= 1, found {frames}", frames_offset)
+        visual = _read_stream(r, 0, frames, "visual")
+        audio = _read_stream(r, 1, frames, "audio")
+        desc = _read_stream(r, 2, frames, "descriptor")
+        r.expect_end()
     return VideoTimeline(visual, audio, desc)

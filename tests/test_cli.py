@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,24 @@ def test_exit_code_io(capsys, tmp_path):
     truncated = tmp_path / "trunc.tdcf"
     truncated.write_bytes(path.read_bytes()[:-4])
     assert main(["budget", "--input", str(truncated)]) == 2
+
+
+@pytest.mark.parametrize("damage", [None, "truncated"])
+def test_timeline_piped_to_dev_stdin(capsys, tmp_path, damage):
+    # a pipe cannot seek, so the reader cannot take the file size from it
+    data = gen_file(capsys, tmp_path, frames=12, boundaries="6").read_bytes()
+    src = str(Path(tdc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tdc", "segment", "--input", "/dev/stdin"],
+        input=data[:-4] if damage else data, capture_output=True, env=env, timeout=60,
+    )
+    if damage:
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(b"tdc: i/o error: file ends inside") and done.stderr.count(b"\n") == 1
+    else:
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count(b"\n") == 1 and json.loads(done.stdout)["boundaries"] == [6]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "bad-magic"])

@@ -308,6 +308,15 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_checkpoint_value_beyond_float32_is_numeric_error_and_no_file(tmp_path):
+    params = tdc.init_params(tiny_config())
+    params.tensors["sep"][0, 0] = 1e39
+    path = tmp_path / "p.tdcp"
+    with pytest.raises(NumericError, match="'sep'"):
+        tdc.save_params(params, path)
+    assert not path.exists()
+
+
 def test_checkpoint_parse_errors(tmp_path):
     path = tmp_path / "p.tdcp"
     tdc.save_params(tdc.init_params(tiny_config()), path)
