@@ -1,4 +1,10 @@
-"""Little-endian binary reader/writer helpers for the container formats."""
+"""Container framing and little-endian fields.
+
+Every container (TDCF, TDCS, TDCP) is a 4-byte magic, a u32 version and a
+body that must end where the file ends.  read_container and write_container
+own that framing; the ByteReader and ByteWriter they yield move each body
+field and payload straight between the file and its array.
+"""
 
 from __future__ import annotations
 
@@ -34,24 +40,6 @@ class ByteReader:
     def take(self, n: int, what: str) -> bytes:
         return self.array((n,), "u1", what).tobytes()
 
-    def expect_magic(self, magic: bytes) -> None:
-        start = self._pos
-        got = self.take(len(magic), "magic")
-        if got != magic:
-            raise BadMagicError(f"expected magic {magic!r}, found {got!r}", start)
-
-    def expect_version(self, supported: int) -> None:
-        start = self._pos
-        version = self.u32("version")
-        if version != supported:
-            raise VersionMismatchError(
-                f"unsupported container version {version}, reader supports {supported}", start
-            )
-
-    def expect_end(self) -> None:
-        if self.left:
-            raise FormatError(f"{self.left} trailing bytes", self._pos)
-
     def u8(self, what: str = "u8") -> int:
         return self.take(1, what)[0]
 
@@ -75,32 +63,54 @@ class ByteReader:
 
 
 @contextmanager
-def open_reader(path) -> Iterator[ByteReader]:
-    """A ByteReader over the file at path; a pipe cannot seek, so it is read whole first."""
+def read_container(path, magic: bytes, version: int) -> Iterator[ByteReader]:
+    """A ByteReader over the container at path, positioned at its body.
+
+    Raises BadMagicError or VersionMismatchError for a wrong frame, and a
+    FormatError if the body that the block reads leaves bytes unread.  A pipe
+    cannot seek, so it is read whole first.
+    """
     with open(path, "rb") as f:
-        yield ByteReader(f if f.seekable() else io.BytesIO(f.read()))
+        r = ByteReader(f if f.seekable() else io.BytesIO(f.read()))
+        found = r.take(len(magic), "magic")
+        if found != magic:
+            raise BadMagicError(f"expected magic {magic!r}, found {found!r}", 0)
+        found = r.u32("version")
+        if found != version:
+            raise VersionMismatchError(
+                f"unsupported container version {found}, reader supports {version}", len(magic)
+            )
+        yield r
+        if r.left:
+            raise FormatError(f"{r.left} trailing bytes", r.offset)
 
 
 class ByteWriter:
-    """Accumulates little-endian fields into a byte string."""
+    """Writes little-endian fields to an open binary file as they come."""
 
-    def __init__(self):
-        self._parts: list[bytes] = []
+    def __init__(self, f: BinaryIO):
+        self._f = f
 
     def raw(self, data: bytes) -> None:
-        self._parts.append(data)
+        self._f.write(data)
 
     def u8(self, value: int) -> None:
-        self._parts.append(struct.pack("<B", value))
+        self._f.write(struct.pack("<B", value))
 
     def u16(self, value: int) -> None:
-        self._parts.append(struct.pack("<H", value))
+        self._f.write(struct.pack("<H", value))
 
     def u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
+        self._f.write(struct.pack("<I", value))
 
-    def f32_array(self, values: np.ndarray) -> None:
-        self._parts.append(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    def array(self, values: np.ndarray, dtype: str) -> None:
+        """Write values in C order as dtype; an array already in that form is not copied."""
+        self._f.write(np.ascontiguousarray(values, dtype=dtype).data)
 
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+
+@contextmanager
+def write_container(path, magic: bytes, version: int) -> Iterator[ByteWriter]:
+    """A ByteWriter over a new file at path, the magic and version written."""
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I", version))
+        yield ByteWriter(f)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
 from . import qformer
-from .binio import ByteWriter, open_reader
+from .binio import read_container, write_container
 from .errors import ArgumentError, NumericError, ShapeError
 from .timeline import InstructionTokens, ScenePartition, VideoTimeline
 
@@ -178,24 +177,18 @@ def write_stream(stream: TDCStream, path) -> None:
     with np.errstate(over="ignore"):
         tokens = stream.tokens.astype("<f4")
     _check_finite(tokens, stream, "overflows float32")
-    w = ByteWriter()
-    w.raw(STREAM_MAGIC)
-    w.u32(STREAM_VERSION)
-    w.u32(len(stream))
-    w.u32(stream.tokens.shape[1])
-    w.f32_array(tokens)
-    w.raw(stream.provenance.astype(np.uint8).tobytes())
-    Path(path).write_bytes(w.getvalue())
+    with write_container(path, STREAM_MAGIC, STREAM_VERSION) as w:
+        w.u32(len(stream))
+        w.u32(stream.tokens.shape[1])
+        w.array(tokens, "<f4")
+        w.array(stream.provenance, "u1")
 
 
 def read_stream(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (tokens float32 (n, dim), provenance uint8 (n,))."""
-    with open_reader(path) as r:
-        r.expect_magic(STREAM_MAGIC)
-        r.expect_version(STREAM_VERSION)
+    with read_container(path, STREAM_MAGIC, STREAM_VERSION) as r:
         count = r.u32("token count")
         dim = r.u32("token dim")
         tokens = r.array((count, dim), "<f4", "token payload")
         prov = r.array((count,), "u1", "provenance payload")
-        r.expect_end()
     return tokens, prov

@@ -21,13 +21,12 @@ backward returns one gradient per parameter, the query path included.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .binio import ByteWriter, open_reader
+from .binio import read_container, write_container
 from .errors import ArgumentError, FormatError, NumericError, ShapeError
 from .timeline import VOCAB_SIZE, InstructionTokens
 
@@ -63,8 +62,8 @@ class QFormerConfig:
             raise ArgumentError(f"queries must be >= 1, got {self.queries}")
         if self.query_type not in QUERY_TYPES:
             raise ArgumentError(f"query_type must be one of {QUERY_TYPES}, got {self.query_type!r}")
-        if min(self.visual_dim, self.audio_dim) < 1:
-            raise ArgumentError("input dims must be >= 1")
+        if self.visual_dim < 1 or self.audio_dim < 0:
+            raise ArgumentError(f"visual_dim {self.visual_dim} must be >= 1, audio_dim {self.audio_dim} >= 0")
 
     @property
     def head_dim(self) -> int:
@@ -555,35 +554,31 @@ def save_params(params: QFormerParams, path) -> None:
 
     Raises NumericError, and writes nothing, if a tensor is not finite in float32.
     """
-    cfg = params.cfg
-    w = ByteWriter()
-    w.raw(PARAMS_MAGIC)
-    w.u32(PARAMS_VERSION)
-    w.u8(QUERY_TYPES.index(cfg.query_type))
-    w.u8(int(cfg.text_conditioning))
-    for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, VOCAB_SIZE, cfg.visual_dim, cfg.audio_dim):
-        w.u32(value)
-    w.u32(len(params.tensors))
-    for name, tensor in params.tensors.items():
-        with np.errstate(over="ignore"):
-            stored = tensor.astype("<f4")
-        if not np.isfinite(stored).all():
+    with np.errstate(over="ignore"):
+        stored = {name: tensor.astype("<f4") for name, tensor in params.tensors.items()}
+    for name, tensor in stored.items():
+        if not np.isfinite(tensor).all():
             raise NumericError(f"tensor {name!r} is not finite in float32")
-        encoded = name.encode("utf-8")
-        w.u16(len(encoded))
-        w.raw(encoded)
-        w.u8(tensor.ndim)
-        for dim in tensor.shape:
-            w.u32(dim)
-        w.f32_array(stored)
-    Path(path).write_bytes(w.getvalue())
+    cfg = params.cfg
+    with write_container(path, PARAMS_MAGIC, PARAMS_VERSION) as w:
+        w.u8(QUERY_TYPES.index(cfg.query_type))
+        w.u8(int(cfg.text_conditioning))
+        for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, VOCAB_SIZE, cfg.visual_dim, cfg.audio_dim):
+            w.u32(value)
+        w.u32(len(stored))
+        for name, tensor in stored.items():
+            encoded = name.encode("utf-8")
+            w.u16(len(encoded))
+            w.raw(encoded)
+            w.u8(tensor.ndim)
+            for dim in tensor.shape:
+                w.u32(dim)
+            w.array(tensor, "<f4")
 
 
 def load_params(path) -> QFormerParams:
     """Read a TDCP checkpoint back into float64 parameter tensors."""
-    with open_reader(path) as r:
-        r.expect_magic(PARAMS_MAGIC)
-        r.expect_version(PARAMS_VERSION)
+    with read_container(path, PARAMS_MAGIC, PARAMS_VERSION) as r:
         header_offset = r.offset
         query_type_idx = r.u8("query type")
         if query_type_idx >= len(QUERY_TYPES):
@@ -643,7 +638,6 @@ def load_params(path) -> QFormerParams:
             # a signalling NaN parses like any NaN instead of setting the invalid flag
             with np.errstate(invalid="ignore"):
                 tensors[name] = stored.astype(np.float64)
-        r.expect_end()
     if set(tensors) != set(shapes):
         raise FormatError("duplicate tensor names in checkpoint", r.offset)
     return QFormerParams(cfg, {name: tensors[name] for name in shapes})

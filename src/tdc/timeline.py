@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .binio import ByteReader, ByteWriter, open_reader
+from .binio import ByteReader, ByteWriter, read_container, write_container
 from .errors import ArgumentError, FormatError, ShapeError
 
 MAGIC = b"TDCF"
@@ -220,25 +219,19 @@ def synth_generate(spec: SynthSpec) -> VideoTimeline:
 
 
 def _write_stream(w: ByteWriter, tag: int, data: np.ndarray) -> None:
-    frames = data.shape[0]
-    tokens = 1 if data.ndim == 2 else data.shape[1]
-    dim = data.shape[-1]
     w.u8(tag)
-    w.u32(tokens)
-    w.u32(dim)
-    w.f32_array(data.reshape(frames * tokens, dim))
+    w.u32(1 if data.ndim == 2 else data.shape[1])
+    w.u32(data.shape[-1])
+    w.array(data, "<f4")
 
 
 def write_tdcf(tl: VideoTimeline, path) -> None:
     """Serialize a timeline; read_tdcf(write_tdcf(tl)) is bitwise identical."""
-    w = ByteWriter()
-    w.raw(MAGIC)
-    w.u32(VERSION)
-    w.u32(tl.frame_count)
-    _write_stream(w, 0, tl.visual_tokens)
-    _write_stream(w, 1, tl.audio_tokens)
-    _write_stream(w, 2, tl.descriptors)
-    Path(path).write_bytes(w.getvalue())
+    with write_container(path, MAGIC, VERSION) as w:
+        w.u32(tl.frame_count)
+        _write_stream(w, 0, tl.visual_tokens)
+        _write_stream(w, 1, tl.audio_tokens)
+        _write_stream(w, 2, tl.descriptors)
 
 
 def _read_stream(r: ByteReader, expected_tag: int, frames: int, what: str) -> np.ndarray:
@@ -258,9 +251,7 @@ def _read_stream(r: ByteReader, expected_tag: int, frames: int, what: str) -> np
 
 def read_tdcf(path) -> VideoTimeline:
     """Parse a TDCF file, raising a distinct error per malformation."""
-    with open_reader(path) as r:
-        r.expect_magic(MAGIC)
-        r.expect_version(VERSION)
+    with read_container(path, MAGIC, VERSION) as r:
         frames_offset = r.offset
         frames = r.u32("frame count")
         if frames < 1:
@@ -268,5 +259,4 @@ def read_tdcf(path) -> VideoTimeline:
         visual = _read_stream(r, 0, frames, "visual")
         audio = _read_stream(r, 1, frames, "audio")
         desc = _read_stream(r, 2, frames, "descriptor")
-        r.expect_end()
     return VideoTimeline(visual, audio, desc)

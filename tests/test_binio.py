@@ -1,8 +1,9 @@
-"""The container reader reads payloads straight from the file.
+"""Container framing, and payloads moved straight between file and array.
 
+Every container fails the same way on a bad magic, version or trailing byte.
 A header that declares more payload than the file holds fails before any
-allocation, and read_tdcf allocates each payload once, in the array that
-VideoTimeline keeps.
+allocation, read_tdcf allocates each payload once, in the array that
+VideoTimeline keeps, and the writers copy no payload into a byte string.
 """
 
 import io
@@ -15,7 +16,7 @@ import pytest
 import tdc
 from tdc import binio
 from tdc.compressor import Provenance
-from tdc.errors import TruncatedPayloadError
+from tdc.errors import BadMagicError, FormatError, NumericError, TruncatedPayloadError, VersionMismatchError
 
 from conftest import random_timeline
 
@@ -34,8 +35,36 @@ def peak_bytes():
         tracemalloc.stop()
 
 
-def huge_tdcf(path):
+def two_token_stream(tokens=np.ones((2, 3))):
+    return tdc.TDCStream(
+        tokens=tokens,
+        provenance=np.array([Provenance.SEP, Provenance.DYNAMIC], dtype=np.uint8),
+        frame_index=np.zeros(2, dtype=np.int32),
+        window_index=np.zeros(2, dtype=np.int32),
+    )
+
+
+def tiny_params():
+    return tdc.init_params(tdc.QFormerConfig(model_dim=2, heads=1, layers=1, queries=1, visual_dim=1, audio_dim=1))
+
+
+def write_small_tdcf(path):
     tdc.write_tdcf(random_timeline(np.random.default_rng(0), 2, visual_tokens=2, audio_tokens=2, dim=3), path)
+    return tdc.read_tdcf
+
+
+def write_small_tdcs(path):
+    tdc.write_stream(two_token_stream(), path)
+    return tdc.read_stream
+
+
+def write_small_tdcp(path):
+    tdc.save_params(tiny_params(), path)
+    return tdc.load_params
+
+
+def huge_tdcf(path):
+    write_small_tdcf(path)
     raw = bytearray(path.read_bytes())
     raw[8:12] = (2**32 - 1).to_bytes(4, "little")  # frame count
     path.write_bytes(bytes(raw))
@@ -44,13 +73,7 @@ def huge_tdcf(path):
 
 
 def huge_tdcs(path):
-    stream = tdc.TDCStream(
-        tokens=np.ones((2, 3)),
-        provenance=np.array([Provenance.SEP, Provenance.DYNAMIC], dtype=np.uint8),
-        frame_index=np.zeros(2, dtype=np.int32),
-        window_index=np.zeros(2, dtype=np.int32),
-    )
-    tdc.write_stream(stream, path)
+    write_small_tdcs(path)
     raw = bytearray(path.read_bytes())
     raw[8:12] = (2**32 - 1).to_bytes(4, "little")  # token count
     path.write_bytes(bytes(raw))
@@ -90,7 +113,6 @@ def test_read_tdcf_allocates_each_payload_once(tmp_path, monkeypatch):
         assert np.shares_memory(payload, arr)
 
 
-
 def test_file_that_shrinks_while_read_is_truncated_payload():
     f = io.BytesIO(bytes(64))
     r = binio.ByteReader(f)
@@ -99,3 +121,58 @@ def test_file_that_shrinks_while_read_is_truncated_payload():
     with pytest.raises(TruncatedPayloadError, match="inside payload") as err:
         r.array((2, 4), "<f4", "payload")
     assert err.value.offset == 8
+
+
+@pytest.mark.parametrize(
+    "write", [write_small_tdcf, write_small_tdcs, write_small_tdcp], ids=["tdcf", "tdcs", "tdcp"]
+)
+def test_every_container_checks_its_framing(tmp_path, write):
+    path = tmp_path / "c"
+    reader = write(path)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad"
+    cases = [
+        (b"NOPE" + raw[4:], BadMagicError, "expected magic", 0),
+        (raw[:4] + (2).to_bytes(4, "little") + raw[8:], VersionMismatchError, "version 2", 4),
+        (raw + b"\x00", FormatError, "1 trailing bytes", len(raw)),
+    ]
+    for data, error, message, offset in cases:
+        bad.write_bytes(data)
+        with pytest.raises(error, match=message) as err:
+            reader(bad)
+        assert err.value.offset == offset
+
+
+def overflowing_stream(path):
+    tdc.write_stream(two_token_stream(np.array([[1.0, 2.0, 3.0], [4.0, 1e39, 6.0]])), path)
+
+
+def overflowing_params(path):
+    params = tiny_params()
+    params.tensors["sep"][0, 0] = 1e39
+    tdc.save_params(params, path)
+
+
+@pytest.mark.parametrize("save", [overflowing_stream, overflowing_params], ids=["tdcs", "tdcp"])
+def test_value_beyond_float32_leaves_existing_file_alone(tmp_path, save):
+    path = tmp_path / "out"
+    path.write_bytes(b"earlier contents")
+    with pytest.raises(NumericError):
+        save(path)
+    assert path.read_bytes() == b"earlier contents"
+
+
+def test_writers_copy_no_payload_into_a_byte_string(tmp_path):
+    tl = random_timeline(np.random.default_rng(3), 200, visual_tokens=40, audio_tokens=20, dim=64)
+    with peak_bytes() as peak:
+        tdc.write_tdcf(tl, tmp_path / "t.tdcf")
+    assert peak[0] < MIB, f"peak {peak[0]} writing a {(tmp_path / 't.tdcf').stat().st_size}-byte TDCF"
+
+    params = tdc.init_params(tdc.QFormerConfig(visual_dim=64, audio_dim=64))
+    plan = tdc.make_windows(tdc.ScenePartition(tl.frame_count, ()), 8)
+    stream = tdc.assemble_tdc(tl, plan, params)
+    path = tmp_path / "s.tdcs"
+    with peak_bytes() as peak:
+        tdc.write_stream(stream, path)
+    # the float32 cast of the tokens and its finiteness mask are all it holds
+    assert peak[0] <= 1.5 * path.stat().st_size, f"peak {peak[0]} for a {path.stat().st_size}-byte TDCS"

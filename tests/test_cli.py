@@ -90,6 +90,21 @@ def test_compress_deterministic_output(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_audioless_timeline_compresses_and_runs_lvcot(capsys, tmp_path):
+    tl = tdc.synth_generate(tdc.SynthSpec(seed=1, frames=12, boundaries=(6,)))
+    path = tmp_path / "silent.tdcf"
+    tdc.write_tdcf(tdc.VideoTimeline(tl.visual_tokens, np.zeros((12, 0, 0)), tl.descriptors), path)
+    out = tmp_path / "s.tdcs"
+    code, comp, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
+    assert code == 0, err
+    code, budget, _ = run(capsys, "budget", "--input", str(path))
+    assert comp["tokens"] == budget["total"] == len(tdc.read_stream(out)[1])
+    assert comp["provenance_counts"]["static_audio"] == 0
+    code, record, err = run(capsys, "lvcot", "--input", str(path), "--text", "q", "--segments", "2")
+    assert code == 0, err
+    assert len(record["segment_answers"]) == 2
+
+
 def test_gradcheck_passes(capsys):
     code, record, _ = run(capsys, "gradcheck", "--seed", "1")
     assert code == 0

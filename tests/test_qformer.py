@@ -308,6 +308,16 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_checkpoint_without_audio_round_trips(tmp_path):
+    params = tdc.init_params(tiny_config(audio_dim=0))
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(params, path)
+    loaded = tdc.load_params(path)
+    assert loaded.cfg.audio_dim == 0 and loaded["audio_proj"].shape == (0, params.cfg.model_dim)
+    tdc.save_params(loaded, path)
+    assert tdc.load_params(path).cfg == loaded.cfg
+
+
 def test_checkpoint_value_beyond_float32_is_numeric_error_and_no_file(tmp_path):
     params = tdc.init_params(tiny_config())
     params.tensors["sep"][0, 0] = 1e39
