@@ -18,7 +18,7 @@ TDCF container layout (all integers little-endian):
     three streams in fixed order (visual, audio, descriptor), each:
         tag      u8   0 = visual, 1 = audio, 2 = descriptor
         tokens   u32  rows per frame (1 for the descriptor stream)
-        dim      u32
+        dim      u32  >= 1 when tokens >= 1
         data     T * tokens * dim float32, row-major
 """
 
@@ -240,7 +240,10 @@ def _read_stream(r: ByteReader, expected_tag: int, frames: int, what: str) -> np
     if tag != expected_tag:
         raise FormatError(f"expected stream tag {expected_tag} ({what}), found {tag}", tag_offset)
     tokens = r.u32(f"{what} tokens-per-frame")
+    dim_offset = r.offset
     dim = r.u32(f"{what} dim")
+    if tokens and not dim:  # rows the file holds no bytes for
+        raise FormatError(f"{what} stream has {tokens} tokens per frame of dim 0", dim_offset)
     data = r.array((frames, tokens, dim), "<f4", f"{what} payload")
     if expected_tag == 2:
         if tokens != 1:

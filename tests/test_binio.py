@@ -15,6 +15,7 @@ import pytest
 
 import tdc
 from tdc import binio
+from tdc.cli import main
 from tdc.compressor import Provenance
 from tdc.errors import BadMagicError, FormatError, NumericError, TruncatedPayloadError, VersionMismatchError
 
@@ -69,7 +70,21 @@ def huge_tdcf(path):
     raw[8:12] = (2**32 - 1).to_bytes(4, "little")  # frame count
     path.write_bytes(bytes(raw))
     # magic, version, frame count, visual tag, tokens, dim
-    return tdc.read_tdcf, 4 + 4 + 4 + 1 + 4 + 4
+    return tdc.read_tdcf, TruncatedPayloadError, 4 + 4 + 4 + 1 + 4 + 4
+
+
+def tdcf_of_dim_zero(path, tokens):
+    """A 2-frame TDCF, valid but for an audio stream of ``tokens`` rows of dim 0."""
+    tdc.write_tdcf(random_timeline(np.random.default_rng(0), 2, visual_tokens=2, audio_tokens=0, dim=3), path)
+    raw = bytearray(path.read_bytes())
+    tokens_at = 4 + 4 + 4 + (1 + 4 + 4 + 2 * 2 * 3 * 4) + 1  # after the 2x2x3 visual stream and audio tag
+    raw[tokens_at : tokens_at + 8] = tokens.to_bytes(4, "little") + bytes(4)
+    path.write_bytes(bytes(raw))
+    return tokens_at + 4  # the dim
+
+
+def huge_tdcf_of_dim_zero(path):
+    return tdc.read_tdcf, FormatError, tdcf_of_dim_zero(path, 2**32 - 1)
 
 
 def huge_tdcs(path):
@@ -78,16 +93,36 @@ def huge_tdcs(path):
     raw[8:12] = (2**32 - 1).to_bytes(4, "little")  # token count
     path.write_bytes(bytes(raw))
     # magic, version, token count, token dim
-    return tdc.read_stream, 4 + 4 + 4 + 4
+    return tdc.read_stream, TruncatedPayloadError, 4 + 4 + 4 + 4
 
 
-@pytest.mark.parametrize("make", [huge_tdcf, huge_tdcs], ids=["tdcf", "tdcs"])
+@pytest.mark.parametrize("make", [huge_tdcf, huge_tdcf_of_dim_zero, huge_tdcs], ids=["tdcf", "tdcf-dim0", "tdcs"])
 def test_declared_payload_beyond_file_fails_before_allocating(tmp_path, make):
-    reader, payload_at = make(tmp_path / "huge")
-    with peak_bytes() as peak, pytest.raises(TruncatedPayloadError) as err:
+    reader, error, offset = make(tmp_path / "huge")
+    with peak_bytes() as peak, pytest.raises(error) as err:
         reader(tmp_path / "huge")
-    assert err.value.offset == payload_at
+    assert err.value.offset == offset
     assert peak[0] < MIB
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compress", "--k", "1", "--output", "out.tdcs"], ["lvcot", "--k", "1", "--segments", "1", "--text", "q"]],
+    ids=["compress", "lvcot"],
+)
+def test_tokens_of_dim_zero_exit_2_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    # rows of dim 0 take no bytes in the file, but each becomes a model_dim-wide
+    # float64 row once projected: 32 MiB per frame here, 2 TiB at 2**32-1 rows
+    path = tmp_path / "huge.tdcf"
+    dim_at = tdcf_of_dim_zero(path, 2**16)
+    monkeypatch.chdir(tmp_path)
+    with peak_bytes() as peak:
+        code = main([*argv, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and f"(byte offset {dim_at})" in err, err
+    assert peak[0] < MIB
+    assert not (tmp_path / "out.tdcs").exists()
 
 
 def test_read_tdcf_allocates_each_payload_once(tmp_path, monkeypatch):
