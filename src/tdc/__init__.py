@@ -19,7 +19,6 @@ from .lvcot import (
     LVCoTTrace,
     MockAnswerer,
     run_lvcot,
-    split_spans,
 )
 from .qformer import (
     GradCheckReport,

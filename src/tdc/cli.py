@@ -88,8 +88,8 @@ def _build_parser() -> _Parser:
     lv = sub.add_parser("lvcot", parents=[windows, model], help="segment-then-integrate question answering")
     lv.add_argument("--text", required=True, help="the question")
     lv.add_argument("--segments", type=int, default=lvcot.DEFAULT_SEGMENTS)
-    lv.add_argument("--answerer", choices=("mock", "echo"), default="echo")
-    lv.add_argument("--script", default=None, help="JSON list of scripted answers (mock)")
+    lv.add_argument("--script", default=None,
+                    help="JSON list of scripted answers, one per call (default: echo answers)")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     gc.add_argument("--seed", type=int, default=0)
@@ -148,12 +148,15 @@ def _plan_for(tl, args):
 
 
 def _qformer_config(tl, args) -> qformer.QFormerConfig:
+    # a stream of 0 tokens may declare any dim, backed by no bytes: never size a projection from it
+    if tl.visual_tokens_per_frame == 0:
+        raise ArgumentError("the timeline has no visual tokens to compress")
     return qformer.QFormerConfig(
         queries=args.k,
         query_type=args.query_type,
         text_conditioning=args.text is not None,
         visual_dim=tl.visual_tokens.shape[2],
-        audio_dim=tl.audio_tokens.shape[2],
+        audio_dim=tl.audio_tokens.shape[2] if tl.audio_tokens_per_frame else 0,
         seed=args.seed,
     )
 
@@ -196,9 +199,7 @@ def _cmd_budget(args) -> None:
 
 def _cmd_lvcot(args) -> None:
     tl = timeline.read_tdcf(args.input)
-    if args.answerer == "mock":
-        if not args.script:
-            raise ArgumentError("--answerer mock requires --script")
+    if args.script is not None:
         try:
             script = json.loads(Path(args.script).read_bytes().decode("utf-8"))
         except UnicodeDecodeError as exc:

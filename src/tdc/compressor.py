@@ -83,10 +83,6 @@ def make_windows(partition: ScenePartition, window_length: int = DEFAULT_WINDOW)
     return WindowPlan(partition.frame_count, tuple(windows))
 
 
-def _window_token_count(n_frames: int, visual_tokens: int, audio_tokens: int, k: int) -> int:
-    return visual_tokens + audio_tokens + 1 + (n_frames - 1) * k
-
-
 def assemble_tdc(
     tl: VideoTimeline,
     plan: WindowPlan,
@@ -161,9 +157,8 @@ def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig
     """Exact per-window and total token counts versus the dense baseline."""
     m_v = tl.visual_tokens_per_frame
     m_a = tl.audio_tokens_per_frame
-    per_window = tuple(
-        _window_token_count(w.frame_count, m_v, m_a, cfg.queries) for w in plan.windows
-    )
+    # static visual and audio, one separator, K per dynamic frame
+    per_window = tuple(m_v + m_a + 1 + (w.frame_count - 1) * cfg.queries for w in plan.windows)
     total = sum(per_window)
     naive = tl.frame_count * (m_v + m_a)
     return BudgetReport(per_window=per_window, total=total, naive=naive, ratio=naive / total)

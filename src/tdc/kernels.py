@@ -83,22 +83,19 @@ def gelu_grad(m) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * a * a)
 
 
-def pool_group_sizes(rows: int, k: int) -> list[int]:
-    """Sizes of k contiguous near-equal groups over `rows` items, larger first."""
-    if not 1 <= k <= rows:
-        raise ArgumentError(f"cannot pool {rows} rows into {k} groups")
-    base, extra = divmod(rows, k)
-    return [base + 1] * extra + [base] * (k - extra)
+def contiguous_groups(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The [start, stop) of k contiguous near-equal groups covering [0, n), larger first."""
+    if not 1 <= k <= n:
+        raise ArgumentError(f"cannot split {n} items into {k} groups")
+    base, extra = divmod(n, k)
+    edges = [g * base + min(g, extra) for g in range(k + 1)]
+    return tuple(zip(edges, edges[1:]))
 
 
 def pool_matrix(rows: int, k: int) -> np.ndarray:
-    """The (k x rows) matrix P whose product P @ m averages k contiguous
-    near-equal row groups of m (larger groups first)."""
-    sizes = pool_group_sizes(rows, k)
+    """The (k x rows) matrix P whose product P @ m averages the k
+    contiguous_groups of m's rows."""
     p = np.zeros((k, rows))
-    start = 0
-    for g, size in enumerate(sizes):
-        p[g, start : start + size] = 1.0 / size
-        start += size
+    for g, (start, stop) in enumerate(contiguous_groups(rows, k)):
+        p[g, start:stop] = 1.0 / (stop - start)
     return p
-

@@ -17,7 +17,8 @@ from typing import Protocol
 import numpy as np
 
 from .compressor import DEFAULT_WINDOW, TDCStream, assemble_tdc, make_windows
-from .errors import ArgumentError, NumericError, OrchestrationError
+from .errors import NumericError, OrchestrationError
+from .kernels import contiguous_groups
 from .qformer import QFormerParams
 from .segmenter import SegmenterConfig, segment_scenes
 from .timeline import InstructionTokens, VideoTimeline, tokenize_text
@@ -63,10 +64,6 @@ class EchoAnswerer:
 class LVCoTConfig:
     segments: int = DEFAULT_SEGMENTS
 
-    def __post_init__(self):
-        if self.segments < 1:
-            raise ArgumentError(f"segments must be >= 1, got {self.segments}")
-
 
 @dataclass(frozen=True)
 class CompressionContext:
@@ -84,24 +81,6 @@ class LVCoTTrace:
     segment_answers: tuple[str, ...]
     final_prompt: str
     final_answer: str
-
-
-def split_spans(total_seconds: int, segments: int) -> tuple[tuple[int, int], ...]:
-    """Contiguous time-equivalent spans covering [0, T); larger spans first."""
-    if segments < 1:
-        raise ArgumentError(f"segments must be >= 1, got {segments}")
-    if segments > total_seconds:
-        raise ArgumentError(
-            f"cannot split {total_seconds} seconds into {segments} segments"
-        )
-    base, extra = divmod(total_seconds, segments)
-    spans = []
-    start = 0
-    for i in range(segments):
-        size = base + (1 if i < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return tuple(spans)
 
 
 def interval_tag(start: int, stop: int) -> str:
@@ -122,7 +101,7 @@ def run_lvcot(
     ctx: CompressionContext,
 ) -> LVCoTTrace:
     """Split, summarize each span, then answer over the whole video."""
-    spans = split_spans(tl.frame_count, cfg.segments)
+    spans = contiguous_groups(tl.frame_count, cfg.segments)
     text = tokenize_text(question)
 
     prompts: list[str] = []

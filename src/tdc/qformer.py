@@ -293,7 +293,7 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
     k = cfg.queries
     lead = v.shape[:-2]
 
-    emb = t["text_embed"][np.asarray(ids, dtype=np.intp)] if ids else np.zeros((0, cfg.model_dim))
+    emb = t["text_embed"][np.asarray(ids, dtype=np.intp)]
     x = np.broadcast_to(np.vstack([q, emb]), lead + (k + len(ids), cfg.model_dim))
     kv_a = a @ t["audio_proj"] if a.shape[-2] else np.zeros(lead + (0, cfg.model_dim))
     kv = np.concatenate([v @ t["visual_proj"], kv_a], axis=-2)
@@ -396,8 +396,7 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
     # every frame starts from the same query and text rows
     d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
     d_queries = d_x[:k]
-    if cache.ids:
-        np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
+    np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
     m_v = cache.visual.shape[-2]
     grads["visual_proj"] += _weight_grad(cache.visual, d_kv[..., :m_v, :])
     if cache.audio.shape[-2]:

@@ -125,6 +125,46 @@ def test_tokens_of_dim_zero_exit_2_before_allocating(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out.tdcs").exists()
 
 
+def tdcf_with_empty_stream(path, empty):
+    """A 2-frame TDCF whose ``empty`` stream (visual or audio) has 0 tokens of dim 10**5."""
+    visual, audio = (0, 2) if empty == "visual" else (2, 0)
+    tdc.write_tdcf(random_timeline(np.random.default_rng(0), 2, visual_tokens=visual, audio_tokens=audio, dim=3), path)
+    raw = bytearray(path.read_bytes())
+    # the dim field follows the magic, version, frame count, tag and tokens of its stream
+    dim_at = 4 + 4 + 4 + 1 + 4
+    if empty == "audio":
+        dim_at += 4 + 2 * 2 * 3 * 4 + 1 + 4  # past the 2x2x3 visual stream
+    raw[dim_at : dim_at + 4] = (10**5).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "empty, argv, code",
+    [
+        ("audio", ["compress", "--k", "1", "--output", "out.tdcs"], 0),
+        ("audio", ["lvcot", "--k", "1", "--segments", "1", "--text", "q"], 0),
+        ("visual", ["compress", "--k", "1", "--output", "out.tdcs"], 1),
+        ("visual", ["compress", "--k", "1", "--output", "out.tdcs", "--query-type", "learned"], 1),
+        ("visual", ["lvcot", "--k", "1", "--segments", "1", "--text", "q", "--query-type", "learned"], 1),
+    ],
+    ids=["audio-compress", "audio-lvcot", "visual-compress", "visual-compress-learned", "visual-lvcot-learned"],
+)
+def test_dim_of_an_empty_stream_sizes_no_projection(tmp_path, capsys, monkeypatch, empty, argv, code):
+    # no byte backs the dim of a stream of 0 tokens: a (10**5, model_dim)
+    # float64 projection sized from it would take 49 MiB
+    path = tmp_path / "empty.tdcf"
+    tdcf_with_empty_stream(path, empty)
+    monkeypatch.chdir(tmp_path)
+    with peak_bytes() as peak:
+        got = main([*argv, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert peak[0] < 8 * MIB
+    if code:
+        assert err.startswith("tdc: usage error:") and err.count("\n") == 1
+        assert not (tmp_path / "out.tdcs").exists()
+
+
 def test_read_tdcf_allocates_each_payload_once(tmp_path, monkeypatch):
     path = tmp_path / "t.tdcf"
     tdc.write_tdcf(random_timeline(np.random.default_rng(3), 200, visual_tokens=40, audio_tokens=20, dim=64), path)

@@ -118,7 +118,7 @@ def test_lvcot_with_mock_script(capsys, tmp_path):
     script.write_text(json.dumps(["A", "B", "C", "D"]))
     code, record, _ = run(
         capsys, "lvcot", "--input", str(path), "--text", "who wins?",
-        "--answerer", "mock", "--script", str(script),
+        "--script", str(script),
     )
     assert code == 0
     assert record["spans"] == [[0, 30], [30, 60], [60, 90]]
@@ -196,7 +196,7 @@ def test_lvcot_bad_script_file(capsys, tmp_path, content, code, kind):
     script.write_bytes(content)
     got, _, err = run(
         capsys, "lvcot", "--input", str(path), "--text", "q",
-        "--answerer", "mock", "--script", str(script),
+        "--script", str(script),
     )
     assert got == code
     assert err.startswith(f"tdc: {kind} error:") and err.count("\n") == 1
@@ -277,7 +277,7 @@ def test_exit_code_orchestration(capsys, tmp_path):
     script.write_text(json.dumps(["only one"]))
     assert main([
         "lvcot", "--input", str(path), "--text", "q",
-        "--answerer", "mock", "--script", str(script),
+        "--script", str(script),
     ]) == 4
 
 

@@ -79,8 +79,8 @@ def test_gelu_and_grad_match_tanh_formula_with_power():
 
 def test_pool_sizes_near_equal_larger_first():
     # enumeration of the partition rule: 10 items over 4 groups
-    assert kernels.pool_group_sizes(10, 4) == [3, 3, 2, 2]
-    assert kernels.pool_group_sizes(144, 16) == [9] * 16
+    assert [b - a for a, b in kernels.contiguous_groups(10, 4)] == [3, 3, 2, 2]
+    assert [b - a for a, b in kernels.contiguous_groups(144, 16)] == [9] * 16
 
 
 def test_pool_dense_frame_grouping():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tdc
+from tdc import kernels
 from tdc.compressor import Provenance
 from tdc.errors import ArgumentError, NumericError, OrchestrationError
 
@@ -33,27 +34,27 @@ def small_timeline(frames, boundaries=(), seed=0):
 
 
 def test_split_spans_exact_division():
-    assert tdc.split_spans(90, 3) == ((0, 30), (30, 60), (60, 90))
+    assert kernels.contiguous_groups(90, 3) == ((0, 30), (30, 60), (60, 90))
 
 
 def test_split_spans_larger_first():
-    assert tdc.split_spans(10, 3) == ((0, 4), (4, 7), (7, 10))
+    assert kernels.contiguous_groups(10, 3) == ((0, 4), (4, 7), (7, 10))
 
 
 def test_split_spans_single_segment():
-    assert tdc.split_spans(7, 1) == ((0, 7),)
+    assert kernels.contiguous_groups(7, 1) == ((0, 7),)
 
 
 def test_split_spans_rejects_more_segments_than_seconds():
     with pytest.raises(ArgumentError):
-        tdc.split_spans(2, 3)
+        kernels.contiguous_groups(2, 3)
     with pytest.raises(ArgumentError):
-        tdc.split_spans(5, 0)
+        kernels.contiguous_groups(5, 0)
 
 
 @pytest.mark.parametrize("seconds,segments", [(10, 3), (17, 4), (99, 7), (5, 5)])
 def test_split_spans_partition_properties(seconds, segments):
-    spans = tdc.split_spans(seconds, segments)
+    spans = kernels.contiguous_groups(seconds, segments)
     assert spans[0][0] == 0 and spans[-1][1] == seconds
     sizes = [b - a for a, b in spans]
     assert all(s >= 1 for s in sizes)
@@ -118,7 +119,7 @@ def test_mock_script_consumed_exactly():
 def test_segment_streams_cover_every_frame_once():
     tl = small_timeline(23, boundaries=(11,), seed=6)
     ctx = small_context()
-    spans = tdc.split_spans(tl.frame_count, 3)
+    spans = kernels.contiguous_groups(tl.frame_count, 3)
     seen = []
     for start, stop in spans:
         sub = tl.slice(start, stop)
