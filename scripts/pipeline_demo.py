@@ -21,18 +21,14 @@ def main():
     print(f"timeline: {tl.frame_count} frames, "
           f"{tl.visual_tokens_per_frame} visual + {tl.audio_tokens_per_frame} audio tokens/frame")
 
-    partition = tdc.segment_scenes(tl)
-    print(f"scenes: {partition.scenes}")
-
-    plan = tdc.make_windows(partition, args.window)
     cfg = tdc.QFormerConfig(seed=1, text_conditioning=True)
-    params = tdc.init_params(cfg)
-    stream = tdc.assemble_tdc(tl, plan, params, text=tdc.tokenize_text(args.question))
+    ctx = tdc.CompressionContext(params=tdc.init_params(cfg), window_length=args.window)
+    plan, stream = ctx.compress(tl, tdc.tokenize_text(args.question))
+    print(f"scenes: {plan.partition.scenes}")
     report = tdc.token_budget(tl, plan, cfg)
     print(f"windows: {len(plan.windows)}, stream tokens: {len(stream)}")
     print(f"budget: {report.total} vs naive {report.naive} (ratio {report.ratio:.2f})")
 
-    ctx = tdc.CompressionContext(params=params, window_length=args.window)
     trace = tdc.run_lvcot(tl, args.question, tdc.EchoAnswerer(), tdc.LVCoTConfig(), ctx)
     print("reasoning notes:")
     for line in trace.final_prompt.splitlines()[:-1]:

@@ -2,6 +2,7 @@
 
 from .compressor import (
     BudgetReport,
+    CompressionContext,
     Provenance,
     TDCStream,
     Window,
@@ -13,7 +14,6 @@ from .compressor import (
     write_stream,
 )
 from .lvcot import (
-    CompressionContext,
     EchoAnswerer,
     LVCoTConfig,
     LVCoTTrace,

@@ -142,31 +142,33 @@ def _cmd_segment(args) -> None:
     )
 
 
-def _plan_for(tl, args):
-    partition = segmenter.segment_scenes(tl, _segmenter_config(args))
-    return partition, compressor.make_windows(partition, args.window)
-
-
-def _qformer_config(tl, args) -> qformer.QFormerConfig:
+def _context(tl, args) -> tuple[compressor.CompressionContext, timeline.InstructionTokens | None]:
+    """The command's compression context and instruction text, sized before any parameter is built."""
     # a stream of 0 tokens may declare any dim, backed by no bytes: never size a projection from it
     if tl.visual_tokens_per_frame == 0:
         raise ArgumentError("the timeline has no visual tokens to compress")
-    return qformer.QFormerConfig(
+    text = timeline.tokenize_text(args.text) if args.text else None
+    # avgpool queries pool the static frame's visual tokens; learned ones attend over every key token
+    m_v, m_a = tl.visual_tokens_per_frame, tl.audio_tokens_per_frame
+    keys = m_v if args.query_type == "avgpool" else m_v + m_a
+    if args.k > keys:
+        raise ArgumentError(f"--k {args.k} is more than the {keys} tokens per frame that {args.query_type} queries draw on")
+    cfg = qformer.QFormerConfig(
         queries=args.k,
         query_type=args.query_type,
         text_conditioning=args.text is not None,
         visual_dim=tl.visual_tokens.shape[2],
-        audio_dim=tl.audio_tokens.shape[2] if tl.audio_tokens_per_frame else 0,
+        audio_dim=tl.audio_tokens.shape[2] if m_a else 0,
         seed=args.seed,
     )
+    ctx = compressor.CompressionContext(qformer.init_params(cfg), _segmenter_config(args), args.window)
+    return ctx, text
 
 
 def _cmd_compress(args) -> None:
     tl = timeline.read_tdcf(args.input)
-    partition, plan = _plan_for(tl, args)
-    params = qformer.init_params(_qformer_config(tl, args))
-    text = timeline.tokenize_text(args.text) if args.text else None
-    stream = compressor.assemble_tdc(tl, plan, params, text=text)
+    ctx, text = _context(tl, args)
+    plan, stream = ctx.compress(tl, text)
     compressor.write_stream(stream, args.output)
     counts = {p.name.lower(): int((stream.provenance == int(p)).sum()) for p in compressor.Provenance}
     _emit(
@@ -174,7 +176,7 @@ def _cmd_compress(args) -> None:
             "command": "compress",
             "output": args.output,
             "tokens": len(stream),
-            "scenes": partition.scene_count,
+            "scenes": plan.partition.scene_count,
             "windows": len(plan.windows),
             "provenance_counts": counts,
         }
@@ -183,7 +185,7 @@ def _cmd_compress(args) -> None:
 
 def _cmd_budget(args) -> None:
     tl = timeline.read_tdcf(args.input)
-    _, plan = _plan_for(tl, args)
+    plan = compressor.make_windows(segmenter.segment_scenes(tl, _segmenter_config(args)), args.window)
     report = compressor.token_budget(tl, plan, qformer.QFormerConfig(queries=args.k))
     _emit(
         {
@@ -212,12 +214,7 @@ def _cmd_lvcot(args) -> None:
         answerer = lvcot.MockAnswerer(script)
     else:
         answerer = lvcot.EchoAnswerer()
-    params = qformer.init_params(_qformer_config(tl, args))
-    ctx = lvcot.CompressionContext(
-        params=params,
-        segmenter=_segmenter_config(args),
-        window_length=args.window,
-    )
+    ctx, _ = _context(tl, args)
     trace = lvcot.run_lvcot(tl, args.text, answerer, lvcot.LVCoTConfig(segments=args.segments), ctx)
     _emit(
         {

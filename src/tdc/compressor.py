@@ -1,5 +1,6 @@
 """Stream assembly: windowing within scenes, static-token retention,
 per-frame query compression, separator insertion, and exact token budgets.
+``CompressionContext.compress`` is the one path from a timeline to a stream.
 
 Within every window the emitted order is: the static frame's projected
 visual tokens, its projected audio tokens, one separator token, then K
@@ -9,7 +10,7 @@ timeline order; no separator is inserted between windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import qformer
 from .binio import read_container, write_container
 from .errors import ArgumentError, NumericError, ShapeError
+from .segmenter import SegmenterConfig, segment_scenes
 from .timeline import InstructionTokens, ScenePartition, VideoTimeline
 
 STREAM_MAGIC = b"TDCS"
@@ -33,7 +35,6 @@ class Provenance(IntEnum):
 
 @dataclass(frozen=True)
 class Window:
-    scene_index: int
     static_frame: int
     dynamic_frames: tuple[int, ...]
 
@@ -44,8 +45,12 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowPlan:
-    frame_count: int
+    partition: ScenePartition
     windows: tuple[Window, ...]
+
+    @property
+    def frame_count(self) -> int:
+        return self.partition.frame_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +67,20 @@ class TDCStream:
 
 
 @dataclass(frozen=True)
+class CompressionContext:
+    """Everything needed to turn a timeline into a token stream."""
+
+    params: qformer.QFormerParams
+    segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
+    window_length: int = DEFAULT_WINDOW
+
+    def compress(self, tl: VideoTimeline, text: InstructionTokens | None = None) -> tuple[WindowPlan, TDCStream]:
+        """Cut the timeline into scenes, tile them with windows and assemble the stream."""
+        plan = make_windows(segment_scenes(tl, self.segmenter), self.window_length)
+        return plan, assemble_tdc(tl, plan, self.params, text=text)
+
+
+@dataclass(frozen=True)
 class BudgetReport:
     per_window: tuple[int, ...]
     total: int
@@ -74,13 +93,11 @@ def make_windows(partition: ScenePartition, window_length: int = DEFAULT_WINDOW)
     if window_length < 1:
         raise ArgumentError(f"window length must be >= 1, got {window_length}")
     windows = []
-    for scene_index, (start, stop) in enumerate(partition.scenes):
+    for start, stop in partition.scenes:
         for w_start in range(start, stop, window_length):
             w_stop = min(w_start + window_length, stop)
-            windows.append(
-                Window(scene_index, w_start, tuple(range(w_start + 1, w_stop)))
-            )
-    return WindowPlan(partition.frame_count, tuple(windows))
+            windows.append(Window(w_start, tuple(range(w_start + 1, w_stop))))
+    return WindowPlan(partition, tuple(windows))
 
 
 def assemble_tdc(
@@ -93,20 +110,11 @@ def assemble_tdc(
 
     Raises NumericError, naming the first frame, if any token is not finite.
     """
-    cfg = params.cfg
     if plan.frame_count != tl.frame_count:
-        raise ShapeError(
-            f"plan covers {plan.frame_count} frames, timeline has {tl.frame_count}"
-        )
-    # float32 frames: the projections and forward convert what they read
+        raise ShapeError(f"plan covers {plan.frame_count} frames, timeline has {tl.frame_count}")
+    # float32 frames: project and forward convert what they read
     visual, audio = tl.visual_tokens, tl.audio_tokens
-    if visual.shape[2] != cfg.visual_dim:
-        raise ShapeError(f"visual dim {visual.shape[2]} does not match config {cfg.visual_dim}")
-    if audio.shape[1] > 0 and audio.shape[2] != cfg.audio_dim:
-        raise ShapeError(f"audio dim {audio.shape[2]} does not match config {cfg.audio_dim}")
-
-    w_v = params["visual_proj"]
-    w_a = params["audio_proj"]
+    m_v = visual.shape[1]
     sep = params["sep"]
 
     chunks: list[np.ndarray] = []
@@ -125,9 +133,9 @@ def assemble_tdc(
     with np.errstate(invalid="ignore", over="ignore"):
         for w_idx, window in enumerate(plan.windows):
             s = window.static_frame
-            emit(visual[s] @ w_v, Provenance.STATIC_VISUAL, s, w_idx)
-            if audio.shape[1] > 0:
-                emit(audio[s] @ w_a, Provenance.STATIC_AUDIO, s, w_idx)
+            static = qformer.project(params, visual[s], audio[s])[2]
+            emit(static[:m_v], Provenance.STATIC_VISUAL, s, w_idx)
+            emit(static[m_v:], Provenance.STATIC_AUDIO, s, w_idx)
             emit(sep.copy(), Provenance.SEP, -1, w_idx)
             for f in window.dynamic_frames:
                 out = qformer.forward(params, visual[s], visual[f], audio[f], text=text)

@@ -1,27 +1,25 @@
 """Training-free chunked question answering over long timelines.
 
-The video is split into M time-equivalent spans.  Each span is compressed
-and summarized by the answerer against the question; the final call sees
-the whole-video stream plus every interval-tagged intermediate answer.
-Spans are hard boundaries: scene segmentation runs within each span
-independently.  The final call re-encodes the full video rather than
-reusing cached segment streams.
+The video is split into M time-equivalent spans.  The answerer summarizes
+each span's stream against the question; the final call sees the
+whole-video stream plus every interval-tagged intermediate answer.  Every
+stream comes from the caller's ``CompressionContext``, run on the span as
+if it were a whole timeline, so spans are hard boundaries for scene
+segmentation.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .compressor import DEFAULT_WINDOW, TDCStream, assemble_tdc, make_windows
+from .compressor import CompressionContext, TDCStream
 from .errors import NumericError, OrchestrationError
 from .kernels import contiguous_groups
-from .qformer import QFormerParams
-from .segmenter import SegmenterConfig, segment_scenes
-from .timeline import InstructionTokens, VideoTimeline, tokenize_text
+from .timeline import VideoTimeline, tokenize_text
 
 DEFAULT_SEGMENTS = 3
 SEGMENT_TEMPLATE = "Summarize the information in this segment relevant to: {question}"
@@ -66,31 +64,12 @@ class LVCoTConfig:
 
 
 @dataclass(frozen=True)
-class CompressionContext:
-    """Everything needed to turn a timeline slice into a token stream."""
-
-    params: QFormerParams
-    segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
-    window_length: int = DEFAULT_WINDOW
-
-
-@dataclass(frozen=True)
 class LVCoTTrace:
     spans: tuple[tuple[int, int], ...]
     segment_prompts: tuple[str, ...]
     segment_answers: tuple[str, ...]
     final_prompt: str
     final_answer: str
-
-
-def interval_tag(start: int, stop: int) -> str:
-    return f"[{start}s-{stop}s]:"
-
-
-def _stream_for(tl: VideoTimeline, ctx: CompressionContext, text: InstructionTokens) -> TDCStream:
-    partition = segment_scenes(tl, ctx.segmenter)
-    plan = make_windows(partition, ctx.window_length)
-    return assemble_tdc(tl, plan, ctx.params, text=text)
 
 
 def run_lvcot(
@@ -109,7 +88,7 @@ def run_lvcot(
     for i, (start, stop) in enumerate(spans):
         prompt = SEGMENT_TEMPLATE.format(question=question)
         try:
-            stream = _stream_for(tl.slice(start, stop), ctx, text)
+            _, stream = ctx.compress(tl.slice(start, stop), text)
         except NumericError as exc:
             raise NumericError(
                 f"segment {i} ({start}s-{stop}s, frames counted from its start): {exc}"
@@ -120,12 +99,9 @@ def run_lvcot(
             raise OrchestrationError(f"segment {i} ({start}s-{stop}s) failed: {exc}") from exc
         prompts.append(prompt)
 
-    notes = [
-        f"{interval_tag(start, stop)} {answer}"
-        for (start, stop), answer in zip(spans, answers)
-    ]
+    notes = [f"[{start}s-{stop}s]: {answer}" for (start, stop), answer in zip(spans, answers)]
     final_prompt = "\n".join(notes + [FINAL_TEMPLATE.format(question=question)])
-    full_stream = _stream_for(tl, ctx, text)
+    _, full_stream = ctx.compress(tl, text)
     try:
         final_answer = answerer.answer(final_prompt, full_stream)
     except OrchestrationError as exc:

@@ -5,7 +5,7 @@ Architecture (per layer, pre-norm residual blocks):
     1. self-attention over [queries ; text embeddings] (queries only when
        text conditioning is off or the text is empty),
     2. cross-attention in which only the query rows attend over the
-       projected key/value tokens [visual @ W_v ; audio @ W_a],
+       key/value tokens [visual @ W_v ; audio @ W_a] from ``project``,
     3. a gelu FFN with hidden width 4x the model dim.
 The last layer computes only the K query rows: there the text rows serve
 only as self-attention keys and values.  A final layer norm of those K rows
@@ -150,6 +150,27 @@ def init_params(cfg: QFormerConfig) -> QFormerParams:
     return QFormerParams(cfg, tensors)
 
 
+def project(params: QFormerParams, visual, audio):
+    """Frame tokens in model space: the one place they are checked and projected.
+
+    Takes one frame, visual (m_v, d_v) and audio (m_a, d_a), or a stack
+    (F, m_v, d_v), (F, m_a, d_a).  Returns the float64 visual and audio and
+    their projection [visual @ W_v ; audio @ W_a], (m_v + m_a, d) or
+    (F, m_v + m_a, d).
+    """
+    cfg = params.cfg
+    v = np.asarray(visual, dtype=np.float64)
+    a = np.asarray(audio, dtype=np.float64)
+    if v.ndim not in (2, 3) or a.ndim != v.ndim or a.shape[:-2] != v.shape[:-2]:
+        raise ShapeError(f"visual {v.shape} and audio {a.shape} are not both (m, d) or both (F, m, d)")
+    if v.shape[-1] != cfg.visual_dim:
+        raise ShapeError(f"visual dim {v.shape[-1]} does not match config {cfg.visual_dim}")
+    if a.shape[-2] > 0 and a.shape[-1] != cfg.audio_dim:
+        raise ShapeError(f"audio dim {a.shape[-1]} does not match config {cfg.audio_dim}")
+    kv_a = a @ params["audio_proj"] if a.shape[-2] else np.zeros(v.shape[:-2] + (0, cfg.model_dim))
+    return v, a, np.concatenate([v @ params["visual_proj"], kv_a], axis=-2)
+
+
 def build_queries(params: QFormerParams, static_visual):
     """Query tokens for one window, and the pooled static tokens they project.
 
@@ -259,24 +280,6 @@ def _attn_backward(d_out, cache: _AttnCache, wq, wk, wv, wo):
     return d_q_in, d_kv_in, weight_grads
 
 
-def _check_inputs(params: QFormerParams, visual, audio, text):
-    cfg = params.cfg
-    v = np.asarray(visual, dtype=np.float64)
-    a = np.asarray(audio, dtype=np.float64)
-    if v.ndim not in (2, 3) or a.ndim != v.ndim or a.shape[:-2] != v.shape[:-2]:
-        raise ShapeError(f"visual {v.shape} and audio {a.shape} are not both (m, d) or both (F, m, d)")
-    if v.shape[-1] != cfg.visual_dim:
-        raise ShapeError(f"visual dim {v.shape[-1]} does not match config {cfg.visual_dim}")
-    if a.shape[-2] > 0 and a.shape[-1] != cfg.audio_dim:
-        raise ShapeError(f"audio dim {a.shape[-1]} does not match config {cfg.audio_dim}")
-    if v.shape[-2] + a.shape[-2] == 0:
-        raise ShapeError("cross-attention needs at least one visual or audio token")
-    ids: tuple[int, ...] = ()
-    if cfg.text_conditioning and text is not None:
-        ids = tuple(text.ids)
-    return v, a, ids
-
-
 def forward(params: QFormerParams, static_visual, visual, audio, text=None, return_cache=False):
     """Compress one frame, visual (m_v, d_v) and audio (m_a, d_a), into (K, d);
     or a stack (F, m_v, d_v), (F, m_a, d_a) sharing the static frame and text
@@ -288,15 +291,15 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
     """
     cfg = params.cfg
     t = params.tensors
-    v, a, ids = _check_inputs(params, visual, audio, text)
+    v, a, kv = project(params, visual, audio)
+    if kv.shape[-2] == 0:
+        raise ShapeError("cross-attention needs at least one visual or audio token")
+    ids = tuple(text.ids) if cfg.text_conditioning and text is not None else ()
     q, pooled = build_queries(params, static_visual)
     k = cfg.queries
-    lead = v.shape[:-2]
 
     emb = t["text_embed"][np.asarray(ids, dtype=np.intp)]
-    x = np.broadcast_to(np.vstack([q, emb]), lead + (k + len(ids), cfg.model_dim))
-    kv_a = a @ t["audio_proj"] if a.shape[-2] else np.zeros(lead + (0, cfg.model_dim))
-    kv = np.concatenate([v @ t["visual_proj"], kv_a], axis=-2)
+    x = np.broadcast_to(np.vstack([q, emb]), v.shape[:-2] + (k + len(ids), cfg.model_dim))
 
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):

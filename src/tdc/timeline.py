@@ -42,15 +42,21 @@ VISUAL_TOKENS_PER_FRAME = 144
 AUDIO_TOKENS_PER_FRAME = 50
 DEFAULT_DIM = 32
 DEFAULT_NOISE = 0.01
+# every text token is a self-attention row of every compressed frame, so
+# attention memory grows with its square: with the default config, 256 words
+# peak at about 13 MiB
+MAX_INSTRUCTION_TOKENS = 256
 
 
 @dataclass(frozen=True)
 class InstructionTokens:
-    """Hashed instruction-text token ids, vocab [0, 1024)."""
+    """Hashed instruction-text token ids, vocab [0, 1024), at most MAX_INSTRUCTION_TOKENS."""
 
     ids: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if len(self.ids) > MAX_INSTRUCTION_TOKENS:
+            raise ArgumentError(f"instruction text has {len(self.ids)} tokens, more than {MAX_INSTRUCTION_TOKENS}")
         for i in self.ids:
             if not 0 <= i < VOCAB_SIZE:
                 raise ArgumentError(f"token id {i} outside [0, {VOCAB_SIZE})")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,47 @@ def test_exit_code_usage(capsys, tmp_path):
     # bad boundary list and an impossible segment count are usage errors too
     assert main(["gen", "--output", str(tmp_path / "x.tdcf"), "--boundaries", "a,b"]) == 1
     assert main(["lvcot", "--input", str(path), "--text", "q", "--segments", "99"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("compress", ["--k", "200000"]),
+        ("compress", ["--k", "195", "--query-type", "learned"]),
+        ("compress", ["--text", " ".join(["word"] * 257)]),
+        ("lvcot", ["--k", "200000"]),
+        ("lvcot", ["--text", " ".join(["word"] * 257)]),
+    ],
+    ids=["compress-k", "compress-learned-k", "compress-text", "lvcot-k", "lvcot-text"],
+)
+def test_oversized_request_is_one_usage_line_before_any_allocation(capsys, tmp_path, command, extra):
+    # 144 visual and 50 audio tokens per frame: avgpool K <= 144, learned K <= 194
+    path = gen_file(capsys, tmp_path, frames=24, boundaries="8,16")
+    out = tmp_path / "s.tdcs"
+    argv = [command, "--input", str(path), *{"compress": ["--output", str(out)], "lvcot": ["--text", "q"]}[command]]
+    tracemalloc.start()
+    try:
+        code = main(argv + extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("tdc: usage error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("query_type, k", [("avgpool", 144), ("learned", 194)])
+def test_k_up_to_its_bound_compresses(capsys, tmp_path, query_type, k):
+    path = gen_file(capsys, tmp_path, frames=2, boundaries="")
+    out = tmp_path / "s.tdcs"
+    code, record, err = run(
+        capsys, "compress", "--input", str(path), "--output", str(out), "--k", str(k), "--query-type", query_type,
+    )
+    assert code == 0, err
+    assert record["tokens"] == 144 + 50 + 1 + k
 
 
 def test_exit_code_io(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ def test_make_windows_examples():
         (4, (5, 6, 7)),
         (8, (9,)),
     ]
-    plan = tdc.make_windows(ScenePartition(10, (3, 7)), 100)
-    assert [(w.scene_index, w.static_frame) for w in plan.windows] == [(0, 0), (1, 3), (2, 7)]
+    partition = ScenePartition(10, (3, 7))
+    plan = tdc.make_windows(partition, 100)
+    assert [w.static_frame for w in plan.windows] == [0, 3, 7]
+    assert plan.partition is partition and plan.frame_count == 10
     plan = tdc.make_windows(ScenePartition(60, ()), 8)
     sizes = [w.frame_count for w in plan.windows]
     assert sizes == [8] * 7 + [4]
@@ -234,6 +237,30 @@ def test_plan_timeline_mismatch():
     plan = tdc.make_windows(ScenePartition(5, ()), 4)
     with pytest.raises(ShapeError):
         tdc.assemble_tdc(tl, plan, params)
+
+
+@pytest.mark.parametrize("window", [1, 4], ids=["static-only", "with-dynamic"])
+@pytest.mark.parametrize("which", ["visual", "audio"])
+def test_assemble_rejects_frame_dims_the_config_does_not_match(which, window):
+    # windows of length 1 have no dynamic frames: the static block meets the check alone
+    tl, _, _ = small_setup()  # both timeline dims are 8
+    cfg = tdc.QFormerConfig(model_dim=16, heads=2, layers=1, queries=3, visual_dim=8, audio_dim=8)
+    params = tdc.init_params(replace(cfg, **{f"{which}_dim": 5}))
+    plan = tdc.make_windows(ScenePartition(9, (4,)), window)
+    with pytest.raises(ShapeError, match=f"^{which} dim 8 does not match config 5$"):
+        tdc.assemble_tdc(tl, plan, params)
+
+
+def test_static_block_is_the_projected_static_frame():
+    tl, params, plan = small_setup()
+    stream = tdc.assemble_tdc(tl, plan, params)
+    for code, tokens, proj in (
+        (Provenance.STATIC_VISUAL, tl.visual_tokens, params["visual_proj"]),
+        (Provenance.STATIC_AUDIO, tl.audio_tokens, params["audio_proj"]),
+    ):
+        rows = stream.provenance == int(code)
+        expected = np.concatenate([tokens[w.static_frame].astype(np.float64) @ proj for w in plan.windows])
+        assert np.array_equal(stream.tokens[rows], expected)
 
 
 def test_stream_file_round_trip(tmp_path):

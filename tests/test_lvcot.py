@@ -122,10 +122,7 @@ def test_segment_streams_cover_every_frame_once():
     spans = kernels.contiguous_groups(tl.frame_count, 3)
     seen = []
     for start, stop in spans:
-        sub = tl.slice(start, stop)
-        part = tdc.segment_scenes(sub, ctx.segmenter)
-        plan = tdc.make_windows(part, ctx.window_length)
-        stream = tdc.assemble_tdc(sub, plan, ctx.params)
+        _, stream = ctx.compress(tl.slice(start, stop))
         mask = stream.provenance != int(Provenance.SEP)
         seen.extend(start + f for f in set(stream.frame_index[mask]))
     assert sorted(seen) == list(range(23))

@@ -11,7 +11,7 @@ from tdc.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from tdc.timeline import VOCAB_SIZE
+from tdc.timeline import MAX_INSTRUCTION_TOKENS, VOCAB_SIZE
 
 from conftest import random_timeline
 
@@ -33,6 +33,12 @@ def test_tokenize_repeated_word_hashes_identically():
 def test_instruction_tokens_reject_out_of_vocab():
     with pytest.raises(ArgumentError):
         tdc.InstructionTokens((VOCAB_SIZE,))
+
+
+def test_instruction_tokens_are_capped():
+    assert len(tdc.tokenize_text(" ".join(["w"] * MAX_INSTRUCTION_TOKENS))) == MAX_INSTRUCTION_TOKENS
+    with pytest.raises(ArgumentError, match=f"257 tokens, more than {MAX_INSTRUCTION_TOKENS}"):
+        tdc.tokenize_text(" ".join(["w"] * (MAX_INSTRUCTION_TOKENS + 1)))
 
 
 def test_synth_deterministic():
