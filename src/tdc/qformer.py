@@ -13,8 +13,9 @@ is the output.  No positional encoding is applied anywhere; key/value
 tokens form a set.
 
 One forward and one analytic backward serve a single frame and a stack of
-frames that share the static frame and text.  The forward builds its own
-queries from the static frame (or the ``learned_queries`` parameter), so the
+frames that share the static frame and text; each sub-block (layer norm,
+attention) has its forward and backward written once.  The forward builds
+its own queries from the static frame (or ``learned_queries``), so the
 backward returns one gradient per parameter, the query path included.
 """
 
@@ -64,6 +65,8 @@ class QFormerConfig:
             raise ArgumentError(f"query_type must be one of {QUERY_TYPES}, got {self.query_type!r}")
         if self.visual_dim < 1 or self.audio_dim < 0:
             raise ArgumentError(f"visual_dim {self.visual_dim} must be >= 1, audio_dim {self.audio_dim} >= 0")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -102,14 +105,11 @@ def expected_shapes(cfg: QFormerConfig) -> dict[str, tuple[int, ...]]:
     }
     for i in range(cfg.layers):
         p = f"layers.{i}."
-        shapes[p + "self_norm.gamma"] = (d,)
-        shapes[p + "self_norm.beta"] = (d,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + "self." + w] = (d, d)
-        shapes[p + "cross_norm.gamma"] = (d,)
-        shapes[p + "cross_norm.beta"] = (d,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + "cross." + w] = (d, d)
+        for block in ("self", "cross"):
+            shapes[p + block + "_norm.gamma"] = (d,)
+            shapes[p + block + "_norm.beta"] = (d,)
+            for w in ("wq", "wk", "wv", "wo"):
+                shapes[p + block + "." + w] = (d, d)
         shapes[p + "ffn_norm.gamma"] = (d,)
         shapes[p + "ffn_norm.beta"] = (d,)
         shapes[p + "ffn.w1"] = (d, f)
@@ -200,8 +200,7 @@ class _AttnCache(NamedTuple):
     kh: np.ndarray
     vh: np.ndarray
     probs: np.ndarray  # (..., H, n_q, n_kv)
-    ctx: np.ndarray  # (..., H, n_q, head_dim), pre-output-projection
-    merged: np.ndarray
+    merged: np.ndarray  # (..., n_q, d), the heads' context before the output projection
 
 
 class _LayerCache(NamedTuple):
@@ -244,40 +243,43 @@ def _weight_grad(x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
     return _rows(x).T @ _rows(d_y)
 
 
-def _attn_forward(q_in, kv_in, wq, wk, wv, wo, heads):
-    dh = wq.shape[1] // heads
-    qh = _split_heads(q_in @ wq, heads)
-    kh = _split_heads(kv_in @ wk, heads)
-    vh = _split_heads(kv_in @ wv, heads)
-    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(dh)
-    probs = kernels.softmax_rows(scores)
-    ctx = probs @ vh
-    merged = _merge_heads(ctx)
-    return merged @ wo, _AttnCache(q_in, kv_in, qh, kh, vh, probs, ctx, merged)
+def _norm(x, t, prefix):
+    """Layer norm ``prefix`` of x: (output, cache for _norm_backward)."""
+    return kernels.layer_norm(x, t[prefix + ".gamma"], t[prefix + ".beta"])
 
 
-def _attn_backward(d_out, cache: _AttnCache, wq, wk, wv, wo):
-    scale = 1.0 / np.sqrt(cache.qh.shape[-1])
-    d_wo = _weight_grad(cache.merged, d_out)
-    d_ctx = _split_heads(d_out @ wo.T, cache.qh.shape[-3])
+def _norm_backward(d_y, cache, t, prefix, grads):
+    """Input gradient of layer norm ``prefix``; adds its gamma and beta gradients into grads."""
+    d_x, d_gamma, d_beta = kernels.layer_norm_grad(d_y, cache, t[prefix + ".gamma"])
+    grads[prefix + ".gamma"] += d_gamma
+    grads[prefix + ".beta"] += d_beta
+    return d_x
+
+
+def _attn_forward(q_in, kv_in, t, prefix, heads):
+    """Attention ``prefix`` of the q_in rows over the kv_in rows: (output, cache)."""
+    qh = _split_heads(q_in @ t[prefix + ".wq"], heads)
+    kh = _split_heads(kv_in @ t[prefix + ".wk"], heads)
+    vh = _split_heads(kv_in @ t[prefix + ".wv"], heads)
+    probs = kernels.softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1]))
+    merged = _merge_heads(probs @ vh)
+    return merged @ t[prefix + ".wo"], _AttnCache(q_in, kv_in, qh, kh, vh, probs, merged)
+
+
+def _attn_backward(d_out, cache: _AttnCache, t, prefix, grads):
+    """Input gradients (d_q_in, d_kv_in) of attention ``prefix``; adds its weight gradients into grads."""
+    d_ctx = _split_heads(d_out @ t[prefix + ".wo"].T, cache.qh.shape[-3])
     d_probs = d_ctx @ cache.vh.swapaxes(-1, -2)
-    d_vh = cache.probs.swapaxes(-1, -2) @ d_ctx
     d_scores = cache.probs * (d_probs - (d_probs * cache.probs).sum(axis=-1, keepdims=True))
-    d_scores *= scale
-    d_qh = d_scores @ cache.kh
-    d_kh = d_scores.swapaxes(-1, -2) @ cache.qh
-    d_qf = _merge_heads(d_qh)
-    d_kf = _merge_heads(d_kh)
-    d_vf = _merge_heads(d_vh)
-    weight_grads = {
-        "wq": _weight_grad(cache.q_in, d_qf),
-        "wk": _weight_grad(cache.kv_in, d_kf),
-        "wv": _weight_grad(cache.kv_in, d_vf),
-        "wo": d_wo,
-    }
-    d_q_in = d_qf @ wq.T
-    d_kv_in = d_kf @ wk.T + d_vf @ wv.T
-    return d_q_in, d_kv_in, weight_grads
+    d_scores *= 1.0 / np.sqrt(cache.qh.shape[-1])
+    d_qf = _merge_heads(d_scores @ cache.kh)
+    d_kf = _merge_heads(d_scores.swapaxes(-1, -2) @ cache.qh)
+    d_vf = _merge_heads(cache.probs.swapaxes(-1, -2) @ d_ctx)
+    grads[prefix + ".wq"] += _weight_grad(cache.q_in, d_qf)
+    grads[prefix + ".wk"] += _weight_grad(cache.kv_in, d_kf)
+    grads[prefix + ".wv"] += _weight_grad(cache.kv_in, d_vf)
+    grads[prefix + ".wo"] += _weight_grad(cache.merged, d_out)
+    return d_qf @ t[prefix + ".wq"].T, d_kf @ t[prefix + ".wk"].T + d_vf @ t[prefix + ".wv"].T
 
 
 def forward(params: QFormerParams, static_visual, visual, audio, text=None, return_cache=False):
@@ -297,35 +299,30 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
     ids = tuple(text.ids) if cfg.text_conditioning and text is not None else ()
     q, pooled = build_queries(params, static_visual)
     k = cfg.queries
-
-    emb = t["text_embed"][np.asarray(ids, dtype=np.intp)]
-    x = np.broadcast_to(np.vstack([q, emb]), v.shape[:-2] + (k + len(ids), cfg.model_dim))
+    rows = np.vstack([q, t["text_embed"][np.asarray(ids, dtype=np.intp)]])
+    x = np.broadcast_to(rows, v.shape[:-2] + rows.shape)
 
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
         p = f"layers.{i}."
         # only the query rows reach the output, so the last layer computes those alone
         r = k if i == cfg.layers - 1 else x.shape[-2]
-        h1, ln1 = kernels.layer_norm(x, t[p + "self_norm.gamma"], t[p + "self_norm.beta"])
-        sa, self_cache = _attn_forward(
-            h1[..., :r, :], h1, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"], cfg.heads
-        )
+        h1, ln1 = _norm(x, t, p + "self_norm")
+        sa, self_cache = _attn_forward(h1[..., :r, :], h1, t, p + "self", cfg.heads)
         x = x[..., :r, :] + sa
 
-        h2, ln2 = kernels.layer_norm(x[..., :k, :], t[p + "cross_norm.gamma"], t[p + "cross_norm.beta"])
-        ca, cross_cache = _attn_forward(
-            h2, kv, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"], cfg.heads
-        )
+        h2, ln2 = _norm(x[..., :k, :], t, p + "cross_norm")
+        ca, cross_cache = _attn_forward(h2, kv, t, p + "cross", cfg.heads)
         x[..., :k, :] += ca
 
-        h3, ln3 = kernels.layer_norm(x, t[p + "ffn_norm.gamma"], t[p + "ffn_norm.beta"])
+        h3, ln3 = _norm(x, t, p + "ffn_norm")
         u = h3 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         g = kernels.gelu(u)
         x = x + g @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
 
         layer_caches.append(_LayerCache(ln1, self_cache, ln2, cross_cache, ln3, h3, u, g))
 
-    out, final_ln = kernels.layer_norm(x, t["final_norm.gamma"], t["final_norm.beta"])
+    out, final_ln = _norm(x, t, "final_norm")
     if return_cache:
         return out, _ForwardCache(pooled, v, a, ids, kv, layer_caches, final_ln)
     return out
@@ -340,74 +337,51 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
     """
     cfg = params.cfg
     t = params.tensors
-    k, d = cfg.queries, cfg.model_dim
-    lead = cache.kv.shape[:-2]
+    k = cfg.queries
+    out_shape = cache.kv.shape[:-2] + (k, cfg.model_dim)
     up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != lead + (k, d):
-        raise ShapeError(f"upstream shape {up.shape} does not match output shape {lead + (k, d)}")
+    if up.shape != out_shape:
+        raise ShapeError(f"upstream shape {up.shape} does not match output shape {out_shape}")
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
-
-    d_x, d_gamma, d_beta = kernels.layer_norm_grad(up, cache.final_ln, t["final_norm.gamma"])
-    grads["final_norm.gamma"] += d_gamma
-    grads["final_norm.beta"] += d_beta
     d_kv = np.zeros_like(cache.kv)
+    d_x = _norm_backward(up, cache.final_ln, t, "final_norm", grads)
 
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}."
         lc = cache.layers[i]
 
         # FFN block
-        d_f = d_x
-        d_g = d_f @ t[p + "ffn.w2"].T
-        grads[p + "ffn.w2"] += _weight_grad(lc.g, d_f)
-        grads[p + "ffn.b2"] += _rows(d_f).sum(axis=0)
-        d_u = d_g * kernels.gelu_grad(lc.u)
+        grads[p + "ffn.w2"] += _weight_grad(lc.g, d_x)
+        grads[p + "ffn.b2"] += _rows(d_x).sum(axis=0)
+        d_u = (d_x @ t[p + "ffn.w2"].T) * kernels.gelu_grad(lc.u)
         grads[p + "ffn.w1"] += _weight_grad(lc.h3, d_u)
         grads[p + "ffn.b1"] += _rows(d_u).sum(axis=0)
-        d_h3 = d_u @ t[p + "ffn.w1"].T
-        d_x3, d_gamma, d_beta = kernels.layer_norm_grad(d_h3, lc.ln3, t[p + "ffn_norm.gamma"])
-        grads[p + "ffn_norm.gamma"] += d_gamma
-        grads[p + "ffn_norm.beta"] += d_beta
-        d_x = d_x + d_x3
+        d_x = d_x + _norm_backward(d_u @ t[p + "ffn.w1"].T, lc.ln3, t, p + "ffn_norm", grads)
 
         # cross-attention block (query rows only)
-        d_q_in, d_kv_in, wgrads = _attn_backward(
-            d_x[..., :k, :], lc.cross, t[p + "cross.wq"], t[p + "cross.wk"], t[p + "cross.wv"], t[p + "cross.wo"]
-        )
-        for w, g_ in wgrads.items():
-            grads[p + "cross." + w] += g_
+        d_q_in, d_kv_in = _attn_backward(d_x[..., :k, :], lc.cross, t, p + "cross", grads)
         d_kv += d_kv_in
-        d_x2, d_gamma, d_beta = kernels.layer_norm_grad(d_q_in, lc.ln2, t[p + "cross_norm.gamma"])
-        grads[p + "cross_norm.gamma"] += d_gamma
-        grads[p + "cross_norm.beta"] += d_beta
-        d_x[..., :k, :] += d_x2
+        d_x[..., :k, :] += _norm_backward(d_q_in, lc.ln2, t, p + "cross_norm", grads)
 
         # self-attention block: q_in is the first r rows of kv_in (all but in the last layer)
-        d_q_in, d_kv_in, wgrads = _attn_backward(
-            d_x, lc.self_attn, t[p + "self.wq"], t[p + "self.wk"], t[p + "self.wv"], t[p + "self.wo"]
-        )
-        for w, g_ in wgrads.items():
-            grads[p + "self." + w] += g_
+        d_q_in, d_kv_in = _attn_backward(d_x, lc.self_attn, t, p + "self", grads)
         r = d_q_in.shape[-2]
         d_kv_in[..., :r, :] += d_q_in
-        d_x1, d_gamma, d_beta = kernels.layer_norm_grad(d_kv_in, lc.ln1, t[p + "self_norm.gamma"])
-        grads[p + "self_norm.gamma"] += d_gamma
-        grads[p + "self_norm.beta"] += d_beta
+        d_x1 = _norm_backward(d_kv_in, lc.ln1, t, p + "self_norm", grads)
         d_x1[..., :r, :] += d_x
         d_x = d_x1
 
     # every frame starts from the same query and text rows
     d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
-    d_queries = d_x[:k]
     np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
     m_v = cache.visual.shape[-2]
     grads["visual_proj"] += _weight_grad(cache.visual, d_kv[..., :m_v, :])
     if cache.audio.shape[-2]:
         grads["audio_proj"] += _weight_grad(cache.audio, d_kv[..., m_v:, :])
     if cache.pooled is None:
-        grads["learned_queries"] += d_queries
+        grads["learned_queries"] += d_x[:k]
     else:
-        grads["visual_proj"] += cache.pooled.T @ d_queries
+        grads["visual_proj"] += cache.pooled.T @ d_x[:k]
     return grads
 
 
@@ -438,11 +412,8 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
     visual = rng.standard_normal((7, cfg.visual_dim))
     audio = rng.standard_normal((5, cfg.audio_dim))
     text = None
-    used_rows: set[int] = set()
     if cfg.text_conditioning:
-        ids = tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=3))
-        text = InstructionTokens(ids)
-        used_rows = set(ids)
+        text = InstructionTokens(tuple(int(i) for i in rng.integers(0, VOCAB_SIZE, size=3)))
     upstream = rng.standard_normal((cfg.queries, cfg.model_dim))
     static = rng.standard_normal((2 * cfg.queries + 1, cfg.visual_dim))
 
@@ -456,7 +427,7 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
     for name, tensor in params.tensors.items():
         fd = np.zeros_like(tensor)
         for idx in np.ndindex(tensor.shape):
-            if name == "text_embed" and idx[0] not in used_rows:
+            if name == "text_embed" and (text is None or idx[0] not in text.ids):
                 continue
             original = tensor[idx]
             tensor[idx] = original + GRAD_CHECK_STEP
@@ -530,7 +501,6 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     if lr < 0:
         raise ArgumentError(f"learning rate must be >= 0, got {lr}")
     cfg = params.cfg
-    k = cfg.queries
     with np.errstate(invalid="ignore", over="ignore"):
         out, cache = forward(
             params, batch.static_visual, batch.dynamic_visual, batch.dynamic_audio, text=batch.text, return_cache=True
@@ -539,9 +509,7 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
         loss = float(np.sum(err * err)) / err.size
     if not np.isfinite(loss):
         raise NumericError(f"training loss is not finite: {loss}")
-    d_out = np.broadcast_to(
-        ((2.0 / (err.size * k)) * (err @ batch.readout.T))[:, None, :], out.shape
-    )
+    d_out = np.broadcast_to((2.0 / (err.size * cfg.queries)) * (err @ batch.readout.T)[:, None, :], out.shape)
     grads = backward(params, cache, d_out)
     new_tensors = {name: arr - lr * grads[name] for name, arr in params.tensors.items()}
     return QFormerParams(cfg, new_tensors), loss

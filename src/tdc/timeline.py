@@ -178,6 +178,8 @@ class SynthSpec:
             raise ArgumentError(f"dim must be >= 1, got {self.dim}")
         if not 0.0 <= self.noise < math.inf:
             raise ArgumentError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 def _descriptor_centers(rng: np.random.Generator, n_scenes: int, dim: int) -> np.ndarray:

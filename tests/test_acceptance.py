@@ -171,7 +171,8 @@ def test_criterion_06_attention_properties():
             # convex hull per head, every layer
             _, cache = tdc.forward(queried, None, v, a, return_cache=True)
             for lc in cache.layers:
-                ctx, vh = lc.cross.ctx, lc.cross.vh
+                vh = lc.cross.vh
+                ctx = lc.cross.probs @ vh
                 assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
                 assert (ctx >= vh.min(axis=1, keepdims=True) - 1e-9).all()
 

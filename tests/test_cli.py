@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import tdc
 from tdc.cli import main
@@ -137,6 +139,24 @@ def test_exit_code_usage(capsys, tmp_path):
     assert main(["lvcot", "--input", str(path), "--text", "q", "--segments", "99"]) == 1
 
 
+@pytest.mark.parametrize("command", ["gen", "compress", "lvcot", "gradcheck"])
+def test_negative_seed_is_one_usage_line(capsys, tmp_path, command):
+    path = gen_file(capsys, tmp_path, frames=24, boundaries="8,16")
+    out = tmp_path / "out.bin"
+    argv = {
+        "gen": ["--output", str(out)],
+        "compress": ["--input", str(path), "--output", str(out)],
+        "lvcot": ["--input", str(path), "--text", "q"],
+        "gradcheck": [],
+    }[command]
+    code = main([command, *argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "tdc: usage error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -164,6 +184,57 @@ def test_oversized_request_is_one_usage_line_before_any_allocation(capsys, tmp_p
     assert captured.err.startswith("tdc: usage error:") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.fixture(scope="module")
+def small_timeline(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "t.tdcf"
+    tdc.write_tdcf(tdc.synth_generate(tdc.SynthSpec(seed=7, frames=24, boundaries=(8, 16), dim=8)), path)
+    return path
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["compress", "lvcot"]),
+    # each range reaches one step past its valid values on both sides (segments: 1..24 frames)
+    window=st.integers(0, 30),
+    segments=st.integers(0, 25),
+    max_segments=st.integers(0, 30),
+    tau=st.floats(-1.01, 1.01) | st.sampled_from([float("nan"), float("inf")]),
+    seed=st.integers(-1, 1000),
+    words=st.integers(0, 300),  # the cap is 256
+)
+# a negative seed, which random draws over the whole range rarely reach
+@example(command="compress", window=4, segments=3, max_segments=3, tau=0.85, seed=-1, words=3)
+@example(command="lvcot", window=4, segments=3, max_segments=3, tau=0.85, seed=-1, words=3)
+def test_any_option_values_exit_as_documented(
+    capsys, tmp_path, small_timeline, command, window, segments, max_segments, tau, seed, words
+):
+    # each run prints one JSON record, or is one usage line that writes nothing, within a small memory peak
+    out = tmp_path / "s.tdcs"
+    out.unlink(missing_ok=True)
+    text = " ".join(["where", "is", "the", "ball"][i % 4] for i in range(words))
+    argv = [
+        command, "--input", str(small_timeline), f"--window={window}", f"--max-segments={max_segments}",
+        f"--tau={tau}", f"--seed={seed}", f"--text={text}",
+        *{"compress": ["--output", str(out)], "lvcot": [f"--segments={segments}"]}[command],
+    ]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == "" and captured.out.count("\n") == 1
+        assert json.loads(captured.out)["command"] == command
+    else:
+        assert code == 1, captured.err
+        assert captured.err.startswith("tdc: usage error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -1,10 +1,12 @@
 """Outputs pinned against a stored reference, so refactors show no change.
 
-The reference file holds assembled streams for {avgpool, learned} x
-{text off, text on} and the first train_step losses in both query modes,
-all on a tiny config.  It was written by the code before the compressor
-and training paths were refactored; regenerate it only for a change that
-is meant to alter outputs, and say so:
+The reference files hold, on a tiny config, assembled streams for
+{avgpool, learned} x {text off, text on} and the first train_step losses in
+both query modes (written before the compressor and training paths were
+refactored), and for the same four cases each tensor's gradient from a
+3-frame-stack backward, dotted with a seeded probe (written before the
+query transformer's sub-blocks were each written once).  Regenerate them
+only for a change that is meant to alter outputs, and say so:
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 """
@@ -18,6 +20,7 @@ import tdc
 from tdc.segmenter import ScenePartition
 
 REFERENCE = Path(__file__).with_name("data") / "pinned_outputs.npz"
+GRAD_REFERENCE = REFERENCE.with_name("pinned_grads.npz")
 ATOL = 1e-10
 CASES = [(q, text) for q in ("avgpool", "learned") for text in (False, True)]
 TRAIN_STEPS = 3
@@ -53,6 +56,19 @@ def train_losses(query_type):
     return losses
 
 
+def grad_probes(query_type, text_conditioning):
+    """One float per tensor: its gradient from a 3-frame-stack backward, dotted with a seeded probe."""
+    params = tdc.init_params(tiny_config(query_type, text_conditioning))
+    rng = np.random.default_rng(13)
+    static = rng.standard_normal((6, 8))
+    visual = rng.standard_normal((3, 6, 8))
+    audio = rng.standard_normal((3, 4, 8))
+    text = tdc.tokenize_text("where is the red ball")
+    out, cache = tdc.forward(params, static, visual, audio, text=text, return_cache=True)
+    grads = tdc.backward(params, cache, rng.standard_normal(out.shape))
+    return np.array([np.sum(g * rng.standard_normal(g.shape)) for g in grads.values()])
+
+
 def compute() -> dict[str, np.ndarray]:
     out = {}
     for query_type, text in CASES:
@@ -69,6 +85,12 @@ def reference():
         return dict(data)
 
 
+@pytest.fixture(scope="module")
+def grad_reference():
+    with np.load(GRAD_REFERENCE) as data:
+        return dict(data)
+
+
 @pytest.mark.parametrize("query_type, text", CASES)
 def test_stream_matches_reference(reference, query_type, text):
     stream = stream_for(query_type, text)
@@ -82,7 +104,16 @@ def test_train_losses_match_reference(reference):
     np.testing.assert_allclose(losses, reference["train_losses"], rtol=0, atol=ATOL)
 
 
+@pytest.mark.parametrize("query_type, text", CASES)
+def test_gradients_match_reference(grad_reference, query_type, text):
+    np.testing.assert_allclose(
+        grad_probes(query_type, text), grad_reference[f"{query_type}_{int(text)}"], rtol=0, atol=ATOL
+    )
+
+
 if __name__ == "__main__":
     REFERENCE.parent.mkdir(exist_ok=True)
     np.savez_compressed(REFERENCE, **compute())
-    print(f"wrote {REFERENCE} ({REFERENCE.stat().st_size} bytes)")
+    np.savez_compressed(GRAD_REFERENCE, **{f"{q}_{int(text)}": grad_probes(q, text) for q, text in CASES})
+    for path in (REFERENCE, GRAD_REFERENCE):
+        print(f"wrote {path} ({path.stat().st_size} bytes)")

@@ -139,7 +139,8 @@ def test_convex_hull_of_cross_attention_heads(default_params):
     a = rng.standard_normal((5, cfg.audio_dim))
     _, cache = tdc.forward(params, None, v, a, return_cache=True)
     for lc in cache.layers:
-        ctx, vh = lc.cross.ctx, lc.cross.vh
+        vh = lc.cross.vh
+        ctx = lc.cross.probs @ vh
         assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
         assert (ctx >= vh.min(axis=1, keepdims=True) - 1e-9).all()
 
@@ -162,6 +163,23 @@ def test_unused_learned_queries_get_zero_gradient():
     _, cache = tdc.forward(params, v, v, a, return_cache=True)
     grads = tdc.backward(params, cache, up)
     assert np.all(grads["learned_queries"] == 0.0)
+    assert np.abs(grads["visual_proj"]).max() > 0.0
+
+
+@pytest.mark.parametrize("frames", [(), (3,)], ids=["frame", "stack"])
+@pytest.mark.parametrize("audio_dim, audio_width", [(0, 0), (0, 32), (6, 6), (6, 32)])
+def test_backward_without_audio_tokens(audio_dim, audio_width, frames):
+    # 0 audio tokens of any width: no audio_proj product, so its gradient is zero and keeps its shape
+    cfg = tiny_config(audio_dim=audio_dim, text_conditioning=True)
+    params = tdc.init_params(cfg)
+    rng = np.random.default_rng(15)
+    static = rng.standard_normal((4, cfg.visual_dim))
+    v = rng.standard_normal(frames + (6, cfg.visual_dim))
+    audio = np.zeros(frames + (0, audio_width))
+    out, cache = tdc.forward(params, static, v, audio, text=tdc.tokenize_text("no sound"), return_cache=True)
+    grads = tdc.backward(params, cache, rng.standard_normal(out.shape))
+    assert {n: g.shape for n, g in grads.items()} == {n: t.shape for n, t in params.tensors.items()}
+    assert not grads["audio_proj"].any()
     assert np.abs(grads["visual_proj"]).max() > 0.0
 
 
