@@ -25,9 +25,11 @@ def softmax_rows(m) -> np.ndarray:
     inputs with entries of magnitude ~1e4.
     """
     a = np.asarray(m, dtype=np.float64)
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # one fresh buffer: subtract, exp and divide in place, never touching a
+    out = a - a.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def layer_norm(m, gamma, beta):

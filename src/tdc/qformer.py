@@ -5,12 +5,16 @@ Architecture (per layer, pre-norm residual blocks):
     1. self-attention over [queries ; text embeddings] (queries only when
        text conditioning is off or the text is empty),
     2. cross-attention in which only the query rows attend over the
-       key/value tokens [visual @ W_v ; audio @ W_a] from ``project``,
+       projected tokens [visual @ W_v ; audio @ W_a],
     3. a gelu FFN with hidden width 4x the model dim.
 The last layer computes only the K query rows: there the text rows serve
 only as self-attention keys and values.  A final layer norm of those K rows
 is the output.  No positional encoding is applied anywhere; key/value
 tokens form a set.
+
+Cross-attention builds no key or value tokens: its key and value weights
+fold into each modality's projection, G = W @ [wk | wv], so per head the
+scores are (q @ Gkᵀ) @ xᵀ and the context (probs @ x) @ Gv on frame tokens x.
 
 One forward and one analytic backward serve a single frame and a stack of
 frames that share the static frame and text; each sub-block (layer norm,
@@ -150,14 +154,8 @@ def init_params(cfg: QFormerConfig) -> QFormerParams:
     return QFormerParams(cfg, tensors)
 
 
-def project(params: QFormerParams, visual, audio):
-    """Frame tokens in model space: the one place they are checked and projected.
-
-    Takes one frame, visual (m_v, d_v) and audio (m_a, d_a), or a stack
-    (F, m_v, d_v), (F, m_a, d_a).  Returns the float64 visual and audio and
-    their projection [visual @ W_v ; audio @ W_a], (m_v + m_a, d) or
-    (F, m_v + m_a, d).
-    """
+def _frame_tokens(params: QFormerParams, visual, audio):
+    """The one check of one frame's or a stack's tokens, (m, d) or (F, m, d): float64 (visual, audio)."""
     cfg = params.cfg
     v = np.asarray(visual, dtype=np.float64)
     a = np.asarray(audio, dtype=np.float64)
@@ -167,7 +165,13 @@ def project(params: QFormerParams, visual, audio):
         raise ShapeError(f"visual dim {v.shape[-1]} does not match config {cfg.visual_dim}")
     if a.shape[-2] > 0 and a.shape[-1] != cfg.audio_dim:
         raise ShapeError(f"audio dim {a.shape[-1]} does not match config {cfg.audio_dim}")
-    kv_a = a @ params["audio_proj"] if a.shape[-2] else np.zeros(v.shape[:-2] + (0, cfg.model_dim))
+    return v, a
+
+
+def project(params: QFormerParams, visual, audio):
+    """Frame tokens in model space: float64 (visual, audio, [visual @ W_v ; audio @ W_a])."""
+    v, a = _frame_tokens(params, visual, audio)
+    kv_a = a @ params["audio_proj"] if a.shape[-2] else np.zeros(v.shape[:-2] + (0, params.cfg.model_dim))
     return v, a, np.concatenate([v @ params["visual_proj"], kv_a], axis=-2)
 
 
@@ -203,11 +207,30 @@ class _AttnCache(NamedTuple):
     merged: np.ndarray  # (..., n_q, d), the heads' context before the output projection
 
 
+class _Modality(NamedTuple):
+    x: np.ndarray  # (..., m, d_in) frame tokens
+    proj: str  # name of W, the (d_in, d) projection into model space
+    cols: slice  # its d_in columns of [W ; ...]ᵀ
+    rows: slice  # its m tokens in each attention row
+
+
+class _CrossCache(NamedTuple):
+    q_in: np.ndarray
+    qs: np.ndarray  # (..., H, K, d_h), the query heads scaled by 1/sqrt(d_h)
+    frames: list[_Modality]  # every modality with tokens
+    w_t: np.ndarray  # (d, Σ d_in): [W ; ...]ᵀ, the modalities' projections side by side
+    gk: np.ndarray  # (H, d_h, Σ d_in): (W @ wk)ᵀ per head, every modality side by side
+    gv: np.ndarray  # (H, d_h, Σ d_in): (W @ wv)ᵀ likewise
+    probs: list  # (..., H, K, m) per modality, its block of each attention row
+    px: np.ndarray  # (..., H, K, Σ d_in): probs @ x of every modality side by side
+    merged: np.ndarray  # (..., K, d), the heads' context before the output projection
+
+
 class _LayerCache(NamedTuple):
     ln1: tuple
     self_attn: _AttnCache
     ln2: tuple
-    cross: _AttnCache
+    cross: _CrossCache
     ln3: tuple
     h3: np.ndarray
     u: np.ndarray
@@ -216,10 +239,7 @@ class _LayerCache(NamedTuple):
 
 class _ForwardCache(NamedTuple):
     pooled: np.ndarray | None  # pooled static tokens; None for learned queries
-    visual: np.ndarray
-    audio: np.ndarray
     ids: tuple[int, ...]
-    kv: np.ndarray
     layers: list[_LayerCache]
     final_ln: tuple
 
@@ -241,6 +261,18 @@ def _rows(x: np.ndarray) -> np.ndarray:
 def _weight_grad(x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
     """Gradient of W in y = x @ W, summed over every row of every frame."""
     return _rows(x).T @ _rows(d_y)
+
+
+def _head_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y (..., H, n, c) @ x (..., c, e), one x for every head: (..., H, n, e)."""
+    *lead, h, n, c = y.shape
+    return (y.reshape(*lead, h * n, c) @ x).reshape(*lead, h, n, x.shape[-1])
+
+
+def _head_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per head, xᵀ @ y summed over every frame: (H, c, e) from x (..., H, n, c) and y (..., H, n, e)."""
+    g = x.swapaxes(-1, -2) @ y
+    return g.reshape(-1, *g.shape[-3:]).sum(axis=0)
 
 
 def _norm(x, t, prefix):
@@ -282,6 +314,47 @@ def _attn_backward(d_out, cache: _AttnCache, t, prefix, grads):
     return d_qf @ t[prefix + ".wq"].T, d_kf @ t[prefix + ".wk"].T + d_vf @ t[prefix + ".wv"].T
 
 
+def _cross_forward(q_in, frames, w_t, t, prefix, heads):
+    """Cross-attention ``prefix`` of the K query rows q_in over the frame tokens of
+    each modality, whose projections w_t holds: (output, cache).  The key and
+    value weights fold into the projections, so no key or value token is built."""
+    qh = _split_heads(q_in @ t[prefix + ".wq"], heads)
+    qs = qh * (1.0 / np.sqrt(qh.shape[-1]))
+    gk, gv = ((t[prefix + w].T @ w_t).reshape(heads, -1, w_t.shape[-1]) for w in (".wk", ".wv"))
+    a = qs @ gk
+    scores = [_head_rows(a[..., f.cols], f.x.swapaxes(-1, -2)) for f in frames]
+    probs = kernels.softmax_rows(np.concatenate(scores, axis=-1))
+    probs = [probs[..., f.rows] for f in frames]
+    px = np.concatenate([_head_rows(p, f.x) for p, f in zip(probs, frames)], axis=-1)
+    merged = _merge_heads(px @ gv.swapaxes(-1, -2))
+    return merged @ t[prefix + ".wo"], _CrossCache(q_in, qs, frames, w_t, gk, gv, probs, px, merged)
+
+
+def _cross_backward(d_out, cache: _CrossCache, t, prefix, grads):
+    """Gradient of the query rows of cross-attention ``prefix``; adds its weight
+    and projection gradients into grads, chained through the folded weights."""
+    qs = cache.qs
+    grads[prefix + ".wo"] += _weight_grad(cache.merged, d_out)
+    d_ctx = _split_heads(d_out @ t[prefix + ".wo"].T, qs.shape[-3])
+    d_px = d_ctx @ cache.gv
+    # each softmax row spans every modality: sum(d_probs * probs) = sum(d_px * px)
+    dot = (d_px * cache.px).sum(axis=-1, keepdims=True)
+    d_a = np.concatenate([
+        _head_rows(p * (_head_rows(d_px[..., f.cols], f.x.swapaxes(-1, -2)) - dot), f.x)
+        for f, p in zip(cache.frames, cache.probs)
+    ], axis=-1)
+    d_w_t = 0.0
+    for w, d_g in ((".wk", _head_grad(qs, d_a)), (".wv", _head_grad(d_ctx, cache.px))):
+        d_g = d_g.reshape(-1, d_g.shape[-1])  # gradient of (W @ w)ᵀ = wᵀ @ w_t
+        grads[prefix + w] += cache.w_t @ d_g.T
+        d_w_t = d_w_t + t[prefix + w] @ d_g
+    for f in cache.frames:
+        grads[f.proj] += d_w_t[:, f.cols].T
+    d_qf = _merge_heads(d_a @ cache.gk.swapaxes(-1, -2)) * (1.0 / np.sqrt(qs.shape[-1]))
+    grads[prefix + ".wq"] += _weight_grad(cache.q_in, d_qf)
+    return d_qf @ t[prefix + ".wq"].T
+
+
 def forward(params: QFormerParams, static_visual, visual, audio, text=None, return_cache=False):
     """Compress one frame, visual (m_v, d_v) and audio (m_a, d_a), into (K, d);
     or a stack (F, m_v, d_v), (F, m_a, d_a) sharing the static frame and text
@@ -293,9 +366,17 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
     """
     cfg = params.cfg
     t = params.tensors
-    v, a, kv = project(params, visual, audio)
-    if kv.shape[-2] == 0:
+    v, a = _frame_tokens(params, visual, audio)
+    # a modality with no tokens takes no part, and its projection gets no gradient
+    frames, col, tok = [], 0, 0
+    for tokens, proj in ((v, "visual_proj"), (a, "audio_proj")):
+        m, d_in = tokens.shape[-2:]
+        if m:
+            frames.append(_Modality(tokens, proj, slice(col, col + d_in), slice(tok, tok + m)))
+            col, tok = col + d_in, tok + m
+    if not frames:
         raise ShapeError("cross-attention needs at least one visual or audio token")
+    w_t = np.concatenate([t[f.proj] for f in frames]).T
     ids = tuple(text.ids) if cfg.text_conditioning and text is not None else ()
     q, pooled = build_queries(params, static_visual)
     k = cfg.queries
@@ -312,7 +393,7 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
         x = x[..., :r, :] + sa
 
         h2, ln2 = _norm(x[..., :k, :], t, p + "cross_norm")
-        ca, cross_cache = _attn_forward(h2, kv, t, p + "cross", cfg.heads)
+        ca, cross_cache = _cross_forward(h2, frames, w_t, t, p + "cross", cfg.heads)
         x[..., :k, :] += ca
 
         h3, ln3 = _norm(x, t, p + "ffn_norm")
@@ -324,7 +405,7 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
 
     out, final_ln = _norm(x, t, "final_norm")
     if return_cache:
-        return out, _ForwardCache(pooled, v, a, ids, kv, layer_caches, final_ln)
+        return out, _ForwardCache(pooled, ids, layer_caches, final_ln)
     return out
 
 
@@ -338,12 +419,11 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
     cfg = params.cfg
     t = params.tensors
     k = cfg.queries
-    out_shape = cache.kv.shape[:-2] + (k, cfg.model_dim)
+    out_shape = cache.final_ln[0].shape
     up = np.asarray(upstream, dtype=np.float64)
     if up.shape != out_shape:
         raise ShapeError(f"upstream shape {up.shape} does not match output shape {out_shape}")
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
-    d_kv = np.zeros_like(cache.kv)
     d_x = _norm_backward(up, cache.final_ln, t, "final_norm", grads)
 
     for i in reversed(range(cfg.layers)):
@@ -359,8 +439,7 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         d_x = d_x + _norm_backward(d_u @ t[p + "ffn.w1"].T, lc.ln3, t, p + "ffn_norm", grads)
 
         # cross-attention block (query rows only)
-        d_q_in, d_kv_in = _attn_backward(d_x[..., :k, :], lc.cross, t, p + "cross", grads)
-        d_kv += d_kv_in
+        d_q_in = _cross_backward(d_x[..., :k, :], lc.cross, t, p + "cross", grads)
         d_x[..., :k, :] += _norm_backward(d_q_in, lc.ln2, t, p + "cross_norm", grads)
 
         # self-attention block: q_in is the first r rows of kv_in (all but in the last layer)
@@ -374,10 +453,6 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
     # every frame starts from the same query and text rows
     d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
     np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
-    m_v = cache.visual.shape[-2]
-    grads["visual_proj"] += _weight_grad(cache.visual, d_kv[..., :m_v, :])
-    if cache.audio.shape[-2]:
-        grads["audio_proj"] += _weight_grad(cache.audio, d_kv[..., m_v:, :])
     if cache.pooled is None:
         grads["learned_queries"] += d_x[:k]
     else:
@@ -474,6 +549,8 @@ def make_train_batch(
     """Synthetic window batch: shared scene center plus per-frame jitter."""
     if frames < 2:
         raise ArgumentError(f"need a static frame plus >= 1 dynamic frames, got {frames}")
+    if seed < 0:
+        raise ArgumentError(f"batch seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 0x7EA1])
     center = rng.standard_normal(cfg.visual_dim)
     base_v = center + 0.5 * rng.standard_normal((visual_tokens, cfg.visual_dim))
@@ -498,8 +575,8 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     backward as one stack.  Returns (new params, loss); a loss that is not
     finite raises NumericError.
     """
-    if lr < 0:
-        raise ArgumentError(f"learning rate must be >= 0, got {lr}")
+    if not np.isfinite(lr) or lr < 0:
+        raise ArgumentError(f"learning rate must be finite and >= 0, got {lr}")
     cfg = params.cfg
     with np.errstate(invalid="ignore", over="ignore"):
         out, cache = forward(

@@ -26,6 +26,12 @@ def with_queries(params, queries):
     return tdc.QFormerParams(cfg, {**params.tensors, "learned_queries": np.asarray(queries, dtype=np.float64)})
 
 
+def split_heads(x, heads):
+    """(..., n, d) rows as (..., heads, n, d // heads): each head's slice of the columns."""
+    *lead, n, d = x.shape
+    return np.moveaxis(x.reshape(*lead, n, heads, d // heads), -2, -3)
+
+
 def brute_force_cuts(similarities, tau, max_scenes):
     """Independent segmentation oracle: sort-based threshold-then-cap rule."""
     ranked = sorted(

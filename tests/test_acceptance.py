@@ -16,7 +16,7 @@ from tdc.errors import BadMagicError, TruncatedPayloadError
 from tdc.segmenter import ScenePartition
 from tdc.timeline import AUDIO_TOKENS_PER_FRAME, VISUAL_TOKENS_PER_FRAME
 
-from conftest import brute_force_cuts, random_timeline, walk_stream_counts, with_queries
+from conftest import brute_force_cuts, random_timeline, split_heads, walk_stream_counts, with_queries
 
 
 @contextmanager
@@ -170,9 +170,10 @@ def test_criterion_06_attention_properties():
 
             # convex hull per head, every layer
             _, cache = tdc.forward(queried, None, v, a, return_cache=True)
-            for lc in cache.layers:
-                vh = lc.cross.vh
-                ctx = lc.cross.probs @ vh
+            kv = qformer.project(queried, v, a)[2]
+            for i, lc in enumerate(cache.layers):
+                vh = split_heads(kv @ queried[f"layers.{i}.cross.wv"], cfg.heads)
+                ctx = split_heads(lc.cross.merged, cfg.heads)
                 assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
                 assert (ctx >= vh.min(axis=1, keepdims=True) - 1e-9).all()
 

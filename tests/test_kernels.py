@@ -33,6 +33,18 @@ def test_softmax_shift_invariance_and_row_sums(m, c):
     assert np.all(np.isfinite(base))
 
 
+def test_softmax_of_a_stack_is_the_three_step_formula_and_leaves_its_input():
+    # subtract, exp and divide in one output buffer: the same bits as three temporaries
+    m = np.random.default_rng(3).normal(scale=30.0, size=(7, 4, 16, 194))
+    before = m.copy()
+    shifted = m - m.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = kernels.softmax_rows(m)
+    np.testing.assert_array_equal(out, e / e.sum(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(m, before)
+    assert not np.shares_memory(out, m)
+
+
 def test_layer_norm_constant_row_is_zero():
     out, _ = kernels.layer_norm([[5.0, 5.0, 5.0]], np.ones(3), np.zeros(3))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)

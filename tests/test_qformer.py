@@ -5,7 +5,7 @@ import tdc
 from tdc import kernels, qformer
 from tdc.errors import ArgumentError, FormatError, NumericError, ShapeError, TruncatedPayloadError
 
-from conftest import SIGNALLING_NAN, with_queries
+from conftest import SIGNALLING_NAN, split_heads, with_queries
 
 
 def tiny_config(**overrides):
@@ -138,9 +138,11 @@ def test_convex_hull_of_cross_attention_heads(default_params):
     v = rng.standard_normal((8, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
     _, cache = tdc.forward(params, None, v, a, return_cache=True)
-    for lc in cache.layers:
-        vh = lc.cross.vh
-        ctx = lc.cross.probs @ vh
+    kv = qformer.project(params, v, a)[2]
+    for i, lc in enumerate(cache.layers):
+        # each head's values, and its context before the output projection
+        vh = split_heads(kv @ params[f"layers.{i}.cross.wv"], cfg.heads)
+        ctx = split_heads(lc.cross.merged, cfg.heads)
         assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
         assert (ctx >= vh.min(axis=1, keepdims=True) - 1e-9).all()
 
@@ -289,6 +291,20 @@ def test_train_step_zero_lr_is_noop():
     assert all(np.array_equal(params[k], new_params[k]) for k in params.tensors)
     with pytest.raises(ArgumentError):
         tdc.train_step(params, batch, -0.1)
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf])
+def test_train_step_rejects_a_learning_rate_that_is_not_finite(lr):
+    cfg = tiny_config()
+    params = tdc.init_params(cfg)
+    batch = qformer.make_train_batch(cfg, seed=0, frames=3, visual_tokens=6, audio_tokens=4)
+    with pytest.raises(ArgumentError, match="learning rate"):
+        tdc.train_step(params, batch, lr)
+
+
+def test_make_train_batch_rejects_a_negative_seed():
+    with pytest.raises(ArgumentError, match="seed"):
+        qformer.make_train_batch(tiny_config(), seed=-1, frames=3)
 
 
 def test_train_step_reduces_loss_in_both_query_modes():
