@@ -5,7 +5,9 @@ per-frame query compression, separator insertion, and exact token budgets.
 Within every window the emitted order is: the static frame's projected
 visual tokens, its projected audio tokens, one separator token, then K
 compressed tokens per dynamic frame in frame order.  Windows follow
-timeline order; no separator is inserted between windows.
+timeline order; no separator is inserted between windows.  A window builds
+its queries once and compresses each dynamic frame with one
+``qformer.forward``; a window without dynamic frames builds none.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ def assemble_tdc(
             emit(static[:m_v], Provenance.STATIC_VISUAL, s, w_idx)
             emit(static[m_v:], Provenance.STATIC_AUDIO, s, w_idx)
             emit(sep.copy(), Provenance.SEP, -1, w_idx)
+            if window.dynamic_frames:
+                queries = qformer.build_queries(params, visual[s], text)
             for f in window.dynamic_frames:
-                out = qformer.forward(params, visual[s], visual[f], audio[f], text=text)
-                emit(out, Provenance.DYNAMIC, f, w_idx)
+                emit(qformer.forward(params, queries, visual[f], audio[f]), Provenance.DYNAMIC, f, w_idx)
 
     stream = TDCStream(
         tokens=np.vstack(chunks),

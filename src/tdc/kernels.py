@@ -45,8 +45,9 @@ def layer_norm(m, gamma, beta):
         raise ShapeError(
             f"gamma/beta lengths {g.shape[0]}/{b.shape[0]} do not match {a.shape[-1]} columns"
         )
-    centered = a - a.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    d = a.shape[-1]  # each row mean as sum / d: np.mean's own arithmetic without its Python wrapper
+    centered = a - a.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
     return xhat * g + b, (xhat, inv)
@@ -62,8 +63,8 @@ def layer_norm_grad(dy, cache, gamma):
     dgamma = (dy * xhat).reshape(-1, d).sum(axis=0)
     dbeta = dy.reshape(-1, d).sum(axis=0)
     dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = dxhat.sum(axis=-1, keepdims=True) / d
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
     return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 

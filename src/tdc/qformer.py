@@ -16,11 +16,11 @@ Cross-attention builds no key or value tokens: its key and value weights
 fold into each modality's projection, G = W @ [wk | wv], so per head the
 scores are (q @ Gkᵀ) @ xᵀ and the context (probs @ x) @ Gv on frame tokens x.
 
-One forward and one analytic backward serve a single frame and a stack of
-frames that share the static frame and text; each sub-block (layer norm,
-attention) has its forward and backward written once.  The forward builds
-its own queries from the static frame (or ``learned_queries``), so the
-backward returns one gradient per parameter, the query path included.
+Only cross-attention reads a frame, so ``build_queries`` builds once what a
+window's frames share: its queries, layer 0's self-attention over [queries ;
+text] and every layer's folded G.  One forward and one analytic backward
+serve a single frame and a stack of frames of a window; each sub-block
+(layer norm, attention) has its forward and backward written once.
 """
 
 from __future__ import annotations
@@ -175,24 +175,6 @@ def project(params: QFormerParams, visual, audio):
     return v, a, np.concatenate([v @ params["visual_proj"], kv_a], axis=-2)
 
 
-def build_queries(params: QFormerParams, static_visual):
-    """Query tokens for one window, and the pooled static tokens they project.
-
-    Returns (queries, pooled): avgpool mode pools the static frame's visual
-    tokens into K groups, pooled (K, d_v), and projects them with W_v;
-    learned mode ignores the static frame and returns (learned_queries, None).
-    """
-    cfg = params.cfg
-    if cfg.query_type == "learned":
-        return params["learned_queries"], None
-    static = np.asarray(static_visual, dtype=np.float64)
-    if static.ndim != 2 or static.shape[1] != cfg.visual_dim:
-        raise ShapeError(f"static visual tokens {static.shape} are not (m, {cfg.visual_dim})")
-    # pool_matrix rejects fewer static tokens than queries
-    pooled = kernels.pool_matrix(static.shape[0], cfg.queries) @ static
-    return pooled @ params["visual_proj"], pooled
-
-
 # ---------------------------------------------------------------------------
 # forward / backward internals
 
@@ -210,7 +192,7 @@ class _AttnCache(NamedTuple):
 class _Modality(NamedTuple):
     x: np.ndarray  # (..., m, d_in) frame tokens
     proj: str  # name of W, the (d_in, d) projection into model space
-    cols: slice  # its d_in columns of [W ; ...]ᵀ
+    cols: slice  # its d_in columns of [W_v ; W_a]ᵀ
     rows: slice  # its m tokens in each attention row
 
 
@@ -218,11 +200,11 @@ class _CrossCache(NamedTuple):
     q_in: np.ndarray
     qs: np.ndarray  # (..., H, K, d_h), the query heads scaled by 1/sqrt(d_h)
     frames: list[_Modality]  # every modality with tokens
-    w_t: np.ndarray  # (d, Σ d_in): [W ; ...]ᵀ, the modalities' projections side by side
-    gk: np.ndarray  # (H, d_h, Σ d_in): (W @ wk)ᵀ per head, every modality side by side
-    gv: np.ndarray  # (H, d_h, Σ d_in): (W @ wv)ᵀ likewise
+    w_t: np.ndarray  # (d, d_v + d_a): [W_v ; W_a]ᵀ, the projections side by side
+    gk: np.ndarray  # (H, d_h, d_v + d_a): (W @ wk)ᵀ per head, both modalities side by side
+    gv: np.ndarray  # (H, d_h, d_v + d_a): (W @ wv)ᵀ likewise
     probs: list  # (..., H, K, m) per modality, its block of each attention row
-    px: np.ndarray  # (..., H, K, Σ d_in): probs @ x of every modality side by side
+    px: np.ndarray  # (..., H, K, d_v + d_a): probs @ x side by side, zero for a modality without tokens
     merged: np.ndarray  # (..., K, d), the heads' context before the output projection
 
 
@@ -237,9 +219,18 @@ class _LayerCache(NamedTuple):
     g: np.ndarray
 
 
+class WindowQueries(NamedTuple):  # what every frame of a window shares, from build_queries
+    pooled: np.ndarray | None  # (K, d_v) pooled static tokens; None for learned queries
+    ids: tuple[int, ...]  # the instruction-text ids, () without text conditioning
+    x: np.ndarray  # (r, d) [queries ; text] rows after layer 0's self-attention (K rows if it is the last)
+    ln1: tuple  # layer 0's self-attention norm cache
+    self_attn: _AttnCache  # layer 0's self-attention cache
+    w_t: np.ndarray  # (d, d_v + d_a): [W_v ; W_a]ᵀ
+    g: list  # per layer, its folded (Gk, Gv), each (H, d_h, d_v + d_a)
+
+
 class _ForwardCache(NamedTuple):
-    pooled: np.ndarray | None  # pooled static tokens; None for learned queries
-    ids: tuple[int, ...]
+    queries: WindowQueries
     layers: list[_LayerCache]
     final_ln: tuple
 
@@ -314,18 +305,20 @@ def _attn_backward(d_out, cache: _AttnCache, t, prefix, grads):
     return d_qf @ t[prefix + ".wq"].T, d_kf @ t[prefix + ".wk"].T + d_vf @ t[prefix + ".wv"].T
 
 
-def _cross_forward(q_in, frames, w_t, t, prefix, heads):
+def _cross_forward(q_in, frames, w_t, g, t, prefix, heads):
     """Cross-attention ``prefix`` of the K query rows q_in over the frame tokens of
-    each modality, whose projections w_t holds: (output, cache).  The key and
-    value weights fold into the projections, so no key or value token is built."""
+    each modality: (output, cache).  Its key and value weights come folded into
+    the projections w_t, as g = (Gk, Gv), so no key or value token is built."""
     qh = _split_heads(q_in @ t[prefix + ".wq"], heads)
     qs = qh * (1.0 / np.sqrt(qh.shape[-1]))
-    gk, gv = ((t[prefix + w].T @ w_t).reshape(heads, -1, w_t.shape[-1]) for w in (".wk", ".wv"))
+    gk, gv = g
     a = qs @ gk
     scores = [_head_rows(a[..., f.cols], f.x.swapaxes(-1, -2)) for f in frames]
     probs = kernels.softmax_rows(np.concatenate(scores, axis=-1))
     probs = [probs[..., f.rows] for f in frames]
-    px = np.concatenate([_head_rows(p, f.x) for p, f in zip(probs, frames)], axis=-1)
+    px = np.zeros(a.shape)
+    for p, f in zip(probs, frames):
+        px[..., f.cols] = _head_rows(p, f.x)
     merged = _merge_heads(px @ gv.swapaxes(-1, -2))
     return merged @ t[prefix + ".wo"], _CrossCache(q_in, qs, frames, w_t, gk, gv, probs, px, merged)
 
@@ -339,10 +332,9 @@ def _cross_backward(d_out, cache: _CrossCache, t, prefix, grads):
     d_px = d_ctx @ cache.gv
     # each softmax row spans every modality: sum(d_probs * probs) = sum(d_px * px)
     dot = (d_px * cache.px).sum(axis=-1, keepdims=True)
-    d_a = np.concatenate([
-        _head_rows(p * (_head_rows(d_px[..., f.cols], f.x.swapaxes(-1, -2)) - dot), f.x)
-        for f, p in zip(cache.frames, cache.probs)
-    ], axis=-1)
+    d_a = np.zeros(d_px.shape)
+    for f, p in zip(cache.frames, cache.probs):
+        d_a[..., f.cols] = _head_rows(p * (_head_rows(d_px[..., f.cols], f.x.swapaxes(-1, -2)) - dot), f.x)
     d_w_t = 0.0
     for w, d_g in ((".wk", _head_grad(qs, d_a)), (".wv", _head_grad(d_ctx, cache.px))):
         d_g = d_g.reshape(-1, d_g.shape[-1])  # gradient of (W @ w)ᵀ = wᵀ @ w_t
@@ -355,45 +347,73 @@ def _cross_backward(d_out, cache: _CrossCache, t, prefix, grads):
     return d_qf @ t[prefix + ".wq"].T
 
 
-def forward(params: QFormerParams, static_visual, visual, audio, text=None, return_cache=False):
-    """Compress one frame, visual (m_v, d_v) and audio (m_a, d_a), into (K, d);
-    or a stack (F, m_v, d_v), (F, m_a, d_a) sharing the static frame and text
-    into (F, K, d).
+def _self_forward(x, r, t, prefix, heads):
+    """Self-attention block ``prefix`` of the first r rows over all rows x: (rows out, norm cache, attention cache)."""
+    h1, ln1 = _norm(x, t, prefix + "self_norm")
+    sa, self_cache = _attn_forward(h1[..., :r, :], h1, t, prefix + "self", heads)
+    return x[..., :r, :] + sa, ln1, self_cache
 
-    The queries come from ``build_queries`` on the window's static frame,
-    static_visual (m_s, d_v), which learned-query mode ignores.  With
-    ``return_cache`` the result is (output, cache) for ``backward``.
+
+def build_queries(params: QFormerParams, static_visual, text=None) -> WindowQueries:
+    """What every frame of one window shares.  avgpool mode pools the static
+    frame's visual tokens, static_visual (m_s, d_v), into K groups projected by
+    W_v; learned mode takes ``learned_queries``.  No frame enters before layer
+    0's cross-attention, so layer 0's self-attention over [queries ; text] and
+    each layer's fold of its cross-attention key and value weights run here."""
+    cfg = params.cfg
+    t = params.tensors
+    q, pooled = t["learned_queries"], None
+    if cfg.query_type == "avgpool":
+        static = np.asarray(static_visual, dtype=np.float64)
+        if static.ndim != 2 or static.shape[1] != cfg.visual_dim:
+            raise ShapeError(f"static visual tokens {static.shape} are not (m, {cfg.visual_dim})")
+        # pool_matrix rejects fewer static tokens than queries
+        pooled = kernels.pool_matrix(static.shape[0], cfg.queries) @ static
+        q = pooled @ t["visual_proj"]
+    ids = tuple(text.ids) if cfg.text_conditioning and text is not None else ()
+    rows = np.vstack([q, t["text_embed"][np.asarray(ids, dtype=np.intp)]])
+    # only the query rows reach the output, so the last layer computes those alone
+    x, ln1, self_cache = _self_forward(rows, cfg.queries if cfg.layers == 1 else len(rows), t, "layers.0.", cfg.heads)
+    w_t = np.concatenate([t["visual_proj"], t["audio_proj"]]).T
+    g = [[(t[f"layers.{i}.cross.{w}"].T @ w_t).reshape(cfg.heads, -1, w_t.shape[-1]) for w in ("wk", "wv")]
+         for i in range(cfg.layers)]
+    return WindowQueries(pooled, ids, x, ln1, self_cache, w_t, g)
+
+
+def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return_cache=False):
+    """Compress one frame of a window, visual (m_v, d_v) and audio (m_a, d_a),
+    into (K, d); or a stack of its frames (F, m_v, d_v), (F, m_a, d_a) into
+    (F, K, d).
+
+    ``queries`` is the window's ``build_queries``: each frame starts from its
+    rows at layer 0's cross-attention.  With ``return_cache`` the result is
+    (output, cache) for ``backward``.
     """
     cfg = params.cfg
     t = params.tensors
     v, a = _frame_tokens(params, visual, audio)
-    # a modality with no tokens takes no part, and its projection gets no gradient
+    # a modality with no tokens takes no part: its columns of px stay zero and its projection gets no gradient
     frames, col, tok = [], 0, 0
     for tokens, proj in ((v, "visual_proj"), (a, "audio_proj")):
-        m, d_in = tokens.shape[-2:]
+        m, d_in = tokens.shape[-2], t[proj].shape[0]
         if m:
             frames.append(_Modality(tokens, proj, slice(col, col + d_in), slice(tok, tok + m)))
-            col, tok = col + d_in, tok + m
+        col, tok = col + d_in, tok + m
     if not frames:
         raise ShapeError("cross-attention needs at least one visual or audio token")
-    w_t = np.concatenate([t[f.proj] for f in frames]).T
-    ids = tuple(text.ids) if cfg.text_conditioning and text is not None else ()
-    q, pooled = build_queries(params, static_visual)
     k = cfg.queries
-    rows = np.vstack([q, t["text_embed"][np.asarray(ids, dtype=np.intp)]])
-    x = np.broadcast_to(rows, v.shape[:-2] + rows.shape)
+    # layer 0's self-attention ran once for the window; each frame starts at its cross-attention
+    x, ln1, self_cache = queries.x, queries.ln1, queries.self_attn
+    x = np.broadcast_to(x, v.shape[:-2] + x.shape).copy()
 
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
         p = f"layers.{i}."
-        # only the query rows reach the output, so the last layer computes those alone
-        r = k if i == cfg.layers - 1 else x.shape[-2]
-        h1, ln1 = _norm(x, t, p + "self_norm")
-        sa, self_cache = _attn_forward(h1[..., :r, :], h1, t, p + "self", cfg.heads)
-        x = x[..., :r, :] + sa
+        if i:
+            x, ln1, self_cache = _self_forward(x, k if i == cfg.layers - 1 else x.shape[-2], t, p, cfg.heads)
 
         h2, ln2 = _norm(x[..., :k, :], t, p + "cross_norm")
-        ca, cross_cache = _cross_forward(h2, frames, w_t, t, p + "cross", cfg.heads)
+        ca, cross_cache = _cross_forward(h2, frames, queries.w_t, queries.g[i], t, p + "cross", cfg.heads)
         x[..., :k, :] += ca
 
         h3, ln3 = _norm(x, t, p + "ffn_norm")
@@ -405,7 +425,7 @@ def forward(params: QFormerParams, static_visual, visual, audio, text=None, retu
 
     out, final_ln = _norm(x, t, "final_norm")
     if return_cache:
-        return out, _ForwardCache(pooled, ids, layer_caches, final_ln)
+        return out, _ForwardCache(queries, layer_caches, final_ln)
     return out
 
 
@@ -442,6 +462,9 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         d_q_in = _cross_backward(d_x[..., :k, :], lc.cross, t, p + "cross", grads)
         d_x[..., :k, :] += _norm_backward(d_q_in, lc.ln2, t, p + "cross_norm", grads)
 
+        if i == 0:
+            # every frame starts from the window's rows after layer 0's self-attention
+            d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
         # self-attention block: q_in is the first r rows of kv_in (all but in the last layer)
         d_q_in, d_kv_in = _attn_backward(d_x, lc.self_attn, t, p + "self", grads)
         r = d_q_in.shape[-2]
@@ -450,13 +473,11 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         d_x1[..., :r, :] += d_x
         d_x = d_x1
 
-    # every frame starts from the same query and text rows
-    d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
-    np.add.at(grads["text_embed"], np.asarray(cache.ids, dtype=np.intp), d_x[k:])
-    if cache.pooled is None:
+    np.add.at(grads["text_embed"], np.asarray(cache.queries.ids, dtype=np.intp), d_x[k:])
+    if cache.queries.pooled is None:
         grads["learned_queries"] += d_x[:k]
     else:
-        grads["visual_proj"] += cache.pooled.T @ d_x[:k]
+        grads["visual_proj"] += cache.queries.pooled.T @ d_x[:k]
     return grads
 
 
@@ -493,9 +514,9 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
     static = rng.standard_normal((2 * cfg.queries + 1, cfg.visual_dim))
 
     def loss() -> float:
-        return float(np.sum(upstream * forward(params, static, visual, audio, text=text)))
+        return float(np.sum(upstream * forward(params, build_queries(params, static, text), visual, audio)))
 
-    _, cache = forward(params, static, visual, audio, text=text, return_cache=True)
+    _, cache = forward(params, build_queries(params, static, text), visual, audio, return_cache=True)
     analytic = backward(params, cache, upstream)
 
     per_tensor: dict[str, float] = {}
@@ -579,9 +600,8 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
         raise ArgumentError(f"learning rate must be finite and >= 0, got {lr}")
     cfg = params.cfg
     with np.errstate(invalid="ignore", over="ignore"):
-        out, cache = forward(
-            params, batch.static_visual, batch.dynamic_visual, batch.dynamic_audio, text=batch.text, return_cache=True
-        )
+        queries = build_queries(params, batch.static_visual, batch.text)
+        out, cache = forward(params, queries, batch.dynamic_visual, batch.dynamic_audio, return_cache=True)
         err = out.mean(axis=-2) @ batch.readout - batch.target  # (frames, visual_dim)
         loss = float(np.sum(err * err)) / err.size
     if not np.isfinite(loss):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import tdc
+from tdc import kernels, qformer
 from tdc.compressor import Provenance
 from tdc.errors import ArgumentError, ShapeError
 from tdc.segmenter import ScenePartition
 
-from conftest import random_timeline, walk_stream_counts
+from conftest import random_timeline, walk_stream_counts, with_queries
 
 
 def small_setup(seed=0, frames=9, boundaries=(4,), query_type="avgpool", text_conditioning=False):
@@ -56,34 +57,41 @@ def test_build_queries_identical_tokens():
     tl, params, _ = small_setup()
     v = np.full((6, 8), 0.0)
     v[:] = np.arange(8.0)
-    queries, pooled = tdc.build_queries(params, v)
-    np.testing.assert_allclose(pooled, np.tile(np.arange(8.0), (3, 1)))
-    expected = np.tile(np.arange(8.0) @ params["visual_proj"], (3, 1))
-    np.testing.assert_allclose(queries, expected)
+    queries = tdc.build_queries(params, v)
+    np.testing.assert_allclose(queries.pooled, np.tile(np.arange(8.0), (3, 1)))
+    # the query rows are the projected pooled tokens: the same window as learned queries set to them
+    learned = with_queries(params, np.tile(np.arange(8.0) @ params["visual_proj"], (3, 1)))
+    np.testing.assert_allclose(queries.x, tdc.build_queries(learned, None).x, rtol=0, atol=1e-12)
 
 
 def test_build_queries_dense_grouping(default_params):
     # 144 static tokens pooled into 16 queries of 9 projected tokens each
     rng = np.random.default_rng(3)
     static = rng.standard_normal((144, 32))
-    queries, pooled = tdc.build_queries(default_params, static)
-    assert queries.shape == (16, 64)
-    np.testing.assert_allclose(pooled[5], static[45:54].mean(axis=0))
+    queries = tdc.build_queries(default_params, static)
+    # text conditioning is off, so the window's rows are the 16 queries alone
+    assert queries.pooled.shape == (16, 32) and queries.x.shape == (16, 64)
+    np.testing.assert_allclose(queries.pooled[5], static[45:54].mean(axis=0))
     projected = static @ default_params["visual_proj"]
-    np.testing.assert_allclose(queries[5], projected[45:54].mean(axis=0))
+    groups = np.stack([projected[9 * g : 9 * g + 9].mean(axis=0) for g in range(16)])
+    learned = with_queries(default_params, groups)
+    np.testing.assert_allclose(queries.x, tdc.build_queries(learned, None).x, rtol=0, atol=1e-12)
 
 
 def test_build_queries_learned_ignores_static():
     tl, params, _ = small_setup(query_type="learned")
     rng = np.random.default_rng(4)
-    q1, pooled = tdc.build_queries(params, rng.standard_normal((6, 8)))
-    q2, _ = tdc.build_queries(params, rng.standard_normal((6, 8)))
-    np.testing.assert_array_equal(q1, q2)
-    np.testing.assert_array_equal(q1, params["learned_queries"])
-    assert pooled is None
-    # forward ignores the static frame too
+    q1 = tdc.build_queries(params, rng.standard_normal((6, 8)))
+    q2 = tdc.build_queries(params, None)
+    assert q1.pooled is None and q2.pooled is None
+    np.testing.assert_array_equal(q1.x, q2.x)
+    # the rows that layer 0's self-attention normalises are the learned queries
+    t = params.tensors
+    _, ln1 = kernels.layer_norm(t["learned_queries"], t["layers.0.self_norm.gamma"], t["layers.0.self_norm.beta"])
+    np.testing.assert_array_equal(q1.ln1[0], ln1[0])
+    # so forward ignores the static frame too
     v, a = rng.standard_normal((6, 8)), rng.standard_normal((4, 8))
-    np.testing.assert_array_equal(tdc.forward(params, None, v, a), tdc.forward(params, v, v, a))
+    np.testing.assert_array_equal(tdc.forward(params, q1, v, a), tdc.forward(params, q2, v, a))
 
 
 def test_build_queries_rejects_too_few_tokens():
@@ -92,16 +100,73 @@ def test_build_queries_rejects_too_few_tokens():
         tdc.build_queries(params, np.ones((2, 8)))
 
 
+def count_calls(monkeypatch, module, names):
+    """Count the calls to each named function of module, which still runs."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_assemble_builds_queries_once_per_window_and_forwards_once_per_frame(monkeypatch):
+    tl, params, _ = small_setup(frames=14, text_conditioning=True)
+    # windows [0..3], [4], [5..8], [9..12], [13]: three with dynamic frames, 9 dynamic frames
+    plan = tdc.make_windows(ScenePartition(14, (4, 5, 9)), 4)
+    calls = count_calls(monkeypatch, qformer, ("build_queries", "forward"))
+    stream = tdc.assemble_tdc(tl, plan, params, text=tdc.tokenize_text("find the cat"))
+    assert calls == {"build_queries": 3, "forward": 9}
+    assert np.sum(stream.provenance == int(Provenance.DYNAMIC)) == 9 * params.cfg.queries
+
+
+def test_one_frame_windows_build_no_queries(monkeypatch):
+    # 2 static tokens cannot pool into K = 3 queries, but a window without dynamic frames pools nothing
+    tl = random_timeline(np.random.default_rng(9), 4, visual_tokens=2, audio_tokens=1, dim=8)
+    _, params, _ = small_setup()
+    with pytest.raises(ArgumentError, match="cannot split 2 items into 3 groups"):
+        tdc.assemble_tdc(tl, tdc.make_windows(ScenePartition(4, ()), 2), params)
+    calls = count_calls(monkeypatch, qformer, ("build_queries", "forward"))
+    stream = tdc.assemble_tdc(tl, tdc.make_windows(ScenePartition(4, ()), 1), params)
+    assert calls == {"build_queries": 0, "forward": 0}
+    assert walk_stream_counts(stream) == (2 + 1 + 1,) * 4
+
+
+def test_audio_dim_zero_compresses_and_back_propagates():
+    cfg = tdc.QFormerConfig(
+        model_dim=16, heads=2, layers=2, queries=3, visual_dim=8, audio_dim=0, text_conditioning=True
+    )
+    params = tdc.init_params(cfg)
+    rng = np.random.default_rng(10)
+    tl = tdc.VideoTimeline(
+        rng.standard_normal((6, 5, 8)).astype(np.float32),
+        np.zeros((6, 0, 0), dtype=np.float32),
+        rng.standard_normal((6, 8)).astype(np.float32),
+    )
+    stream = tdc.assemble_tdc(tl, tdc.make_windows(ScenePartition(6, ()), 3), params, text=tdc.tokenize_text("where"))
+    assert walk_stream_counts(stream) == (5 + 1 + 2 * 3,) * 2
+    assert np.isfinite(stream.tokens).all()
+    batch = tdc.make_train_batch(cfg, seed=1, frames=3, visual_tokens=5, audio_tokens=0)
+    trained, loss = tdc.train_step(params, batch, 0.05)
+    assert np.isfinite(loss) and trained["audio_proj"].shape == (0, 16)
+    assert np.abs(trained["visual_proj"] - params["visual_proj"]).max() > 0.0
+
+
 def test_compress_frame_is_pure_and_text_sensitive():
     tl, params, _ = small_setup(text_conditioning=True)
     rng = np.random.default_rng(5)
     static = rng.standard_normal((6, 8))
     v = rng.standard_normal((6, 8))
     a = rng.standard_normal((4, 8))
-    out1 = tdc.forward(params, static, v, a)
-    out2 = tdc.forward(params, static, v, a)
+    queries = tdc.build_queries(params, static)
+    out1 = tdc.forward(params, queries, v, a)
+    out2 = tdc.forward(params, tdc.build_queries(params, static), v, a)
     np.testing.assert_array_equal(out1, out2)
-    out_text = tdc.forward(params, static, v, a, text=tdc.tokenize_text("find the cat"))
+    out_text = tdc.forward(params, tdc.build_queries(params, static, tdc.tokenize_text("find the cat")), v, a)
     assert np.abs(out_text - out1).max() > 0.0
 
 

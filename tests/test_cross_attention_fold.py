@@ -1,10 +1,12 @@
 """The folded cross-attention against the unfolded reference forward.
 
-``forward`` never builds cross-attention keys or values: it folds the key and
-value weights into each modality's projection.  The reference below is the
-forward written the direct way, projecting every frame token into model space
-and then through wk and wv, with every [query; text] row computed in every
-layer.  Both must agree to 1e-12.
+``forward`` never builds cross-attention keys or values: ``build_queries``
+folds the key and value weights into each modality's projection, once per
+window, and runs layer 0's self-attention there too.  The reference below is
+the forward written the direct way, one function from the static frame to the
+output: it pools the queries itself, projects every frame token into model
+space and then through wk and wv, and computes every [query; text] row in
+every layer.  Both must agree to 1e-12.
 """
 
 import numpy as np
@@ -38,7 +40,8 @@ def unfolded_forward(params, static, visual, audio, text=None):
     k = cfg.queries
     kv = qformer.project(params, visual, audio)[2]
     ids = list(text.ids) if cfg.text_conditioning and text is not None else []
-    q, _ = qformer.build_queries(params, static)
+    pooled = kernels.pool_matrix(len(static), k) @ static if cfg.query_type == "avgpool" else None
+    q = t["learned_queries"] if pooled is None else pooled @ t["visual_proj"]
     rows = np.vstack([q, t["text_embed"][ids]])
     x = np.broadcast_to(rows, kv.shape[:-2] + rows.shape).copy()
     for i in range(cfg.layers):
@@ -67,6 +70,6 @@ def test_folded_forward_matches_unfolded_reference(layers, query_type, text_cond
     visual = rng.standard_normal(frames + (8, cfg.visual_dim))
     audio = rng.standard_normal(frames + (audio_tokens, cfg.audio_dim))
     text = tdc.tokenize_text("where does the dog run")
-    out = tdc.forward(params, static, visual, audio, text=text)
+    out = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio)
     assert out.shape == frames + (cfg.queries, cfg.model_dim)
     np.testing.assert_allclose(out, unfolded_forward(params, static, visual, audio, text), rtol=0, atol=1e-12)

@@ -61,6 +61,24 @@ def test_layer_norm_gamma_zero_collapses_to_beta():
     np.testing.assert_array_equal(out, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
+@pytest.mark.parametrize("shape", [(27, 64), (7, 16, 64)], ids=["rows", "stack"])
+def test_layer_norm_and_grad_are_the_mean_formula(shape):
+    # each row mean is sum / d: the same bits as .mean()
+    rng = np.random.default_rng(4)
+    x, dy = rng.normal(scale=3.0, size=(2, *shape))
+    gamma, beta = rng.standard_normal((2, shape[-1]))
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + kernels.LN_EPS)
+    xhat = centered * inv
+    out, cache = kernels.layer_norm(x, gamma, beta)
+    np.testing.assert_array_equal(out, xhat * gamma + beta)
+    np.testing.assert_array_equal(cache[0], xhat)
+    np.testing.assert_array_equal(cache[1], inv)
+    dxhat = dy * gamma
+    d_x = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(kernels.layer_norm_grad(dy, cache, gamma)[0], d_x)
+
+
 def test_layer_norm_length_mismatch():
     with pytest.raises(ShapeError):
         kernels.layer_norm(np.zeros((2, 3)), np.ones(2), np.zeros(3))

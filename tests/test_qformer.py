@@ -42,13 +42,13 @@ def test_forward_shape_contract():
     params = tdc.init_params(cfg)
     q, _, _ = random_inputs(cfg)
     rng = np.random.default_rng(1)
+    params = with_queries(params, q)
     for m_v, m_a, words in [(1, 0, ""), (5, 3, "a"), (12, 7, "one two three four")]:
         out = tdc.forward(
-            with_queries(params, q),
-            None,
+            params,
+            tdc.build_queries(params, None, tdc.tokenize_text(words)),
             rng.standard_normal((m_v, cfg.visual_dim)),
             rng.standard_normal((m_a, cfg.audio_dim)),
-            text=tdc.tokenize_text(words),
         )
         assert out.shape == (cfg.queries, cfg.model_dim)
         assert np.all(np.isfinite(out))
@@ -59,11 +59,12 @@ def test_forward_rejects_bad_shapes():
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg)
     with pytest.raises(ShapeError):
-        tdc.forward(params, v[:, :-1], v, a)
+        tdc.build_queries(params, v[:, :-1])
+    queries = tdc.build_queries(params, v)
     with pytest.raises(ShapeError):
-        tdc.forward(params, v, v[:, :-1], a)
+        tdc.forward(params, queries, v[:, :-1], a)
     with pytest.raises(ShapeError):
-        tdc.forward(params, v, np.zeros((0, cfg.visual_dim)), np.zeros((0, cfg.audio_dim)))
+        tdc.forward(params, queries, np.zeros((0, cfg.visual_dim)), np.zeros((0, cfg.audio_dim)))
 
 
 def test_joint_kv_permutation_invariance():
@@ -77,8 +78,9 @@ def test_joint_kv_permutation_invariance():
     perm = np.random.default_rng(4).permutation(rows.shape[0])
     shuffled = rows[perm]
     params = with_queries(params, q)
-    out1 = tdc.forward(params, None, v, a)
-    out2 = tdc.forward(params, None, shuffled[:6], shuffled[6:])
+    queries = tdc.build_queries(params, None)
+    out1 = tdc.forward(params, queries, v, a)
+    out2 = tdc.forward(params, queries, shuffled[:6], shuffled[6:])
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
@@ -88,8 +90,9 @@ def test_within_modality_permutation_invariance(default_params):
     params = with_queries(default_params, rng.standard_normal((cfg.queries, cfg.model_dim)))
     v = rng.standard_normal((9, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
-    out1 = tdc.forward(params, None, v, a)
-    out2 = tdc.forward(params, None, v[rng.permutation(9)], a[rng.permutation(5)])
+    queries = tdc.build_queries(params, None)
+    out1 = tdc.forward(params, queries, v, a)
+    out2 = tdc.forward(params, queries, v[rng.permutation(9)], a[rng.permutation(5)])
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
@@ -98,8 +101,9 @@ def test_query_order_equivariance():
     params = tdc.init_params(cfg)
     q, v, a = random_inputs(cfg, seed=6)
     perm = np.array([2, 0, 3, 1])
-    out = tdc.forward(with_queries(params, q), None, v, a)
-    out_perm = tdc.forward(with_queries(params, q[perm]), None, v, a)
+    params, params_perm = with_queries(params, q), with_queries(params, q[perm])
+    out = tdc.forward(params, tdc.build_queries(params, None), v, a)
+    out_perm = tdc.forward(params_perm, tdc.build_queries(params_perm, None), v, a)
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
 
@@ -114,8 +118,9 @@ def test_zeroed_value_and_ffn_output_weights_reduce_to_ln_of_queries():
     q = rng.standard_normal((cfg.queries, cfg.model_dim))
     text = tdc.tokenize_text("some instruction words")
     params = with_queries(params, q)
-    out1 = tdc.forward(params, None, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)), text=text)
-    out2 = tdc.forward(params, None, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)), text=text)
+    queries = tdc.build_queries(params, None, text)
+    out1 = tdc.forward(params, queries, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)))
+    out2 = tdc.forward(params, queries, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)))
     # residual-only reference: the final norm applied to the raw queries
     ref, _ = kernels.layer_norm(q, params["final_norm.gamma"], params["final_norm.beta"])
     np.testing.assert_allclose(out1, ref, atol=1e-12)
@@ -126,8 +131,8 @@ def test_text_conditioning_changes_output():
     cfg = tiny_config(text_conditioning=True)
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg, seed=8)
-    out_off = tdc.forward(params, v, v, a, text=None)
-    out_on = tdc.forward(params, v, v, a, text=tdc.tokenize_text("watch the dog"))
+    out_off = tdc.forward(params, tdc.build_queries(params, v, None), v, a)
+    out_on = tdc.forward(params, tdc.build_queries(params, v, tdc.tokenize_text("watch the dog")), v, a)
     assert np.abs(out_on - out_off).max() > 0.0
 
 
@@ -137,7 +142,7 @@ def test_convex_hull_of_cross_attention_heads(default_params):
     params = with_queries(default_params, rng.standard_normal((cfg.queries, cfg.model_dim)))
     v = rng.standard_normal((8, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
-    _, cache = tdc.forward(params, None, v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, None), v, a, return_cache=True)
     kv = qformer.project(params, v, a)[2]
     for i, lc in enumerate(cache.layers):
         # each head's values, and its context before the output projection
@@ -151,7 +156,7 @@ def test_zero_upstream_gives_zero_bundle():
     cfg = tiny_config()
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg)
-    _, cache = tdc.forward(params, v, v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, v), v, a, return_cache=True)
     grads = tdc.backward(params, cache, np.zeros((cfg.queries, cfg.model_dim)))
     assert grads.keys() == params.tensors.keys()
     assert all(np.all(g == 0.0) for g in grads.values())
@@ -162,7 +167,7 @@ def test_unused_learned_queries_get_zero_gradient():
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg, seed=11)
     up = np.random.default_rng(12).standard_normal((cfg.queries, cfg.model_dim))
-    _, cache = tdc.forward(params, v, v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, v), v, a, return_cache=True)
     grads = tdc.backward(params, cache, up)
     assert np.all(grads["learned_queries"] == 0.0)
     assert np.abs(grads["visual_proj"]).max() > 0.0
@@ -178,7 +183,8 @@ def test_backward_without_audio_tokens(audio_dim, audio_width, frames):
     static = rng.standard_normal((4, cfg.visual_dim))
     v = rng.standard_normal(frames + (6, cfg.visual_dim))
     audio = np.zeros(frames + (0, audio_width))
-    out, cache = tdc.forward(params, static, v, audio, text=tdc.tokenize_text("no sound"), return_cache=True)
+    queries = tdc.build_queries(params, static, tdc.tokenize_text("no sound"))
+    out, cache = tdc.forward(params, queries, v, audio, return_cache=True)
     grads = tdc.backward(params, cache, rng.standard_normal(out.shape))
     assert {n: g.shape for n, g in grads.items()} == {n: t.shape for n, t in params.tensors.items()}
     assert not grads["audio_proj"].any()
@@ -198,12 +204,13 @@ def test_frame_stack_matches_single_frames(query_type):
     up = rng.standard_normal((3, cfg.queries, cfg.model_dim))
     text = tdc.tokenize_text("find the red ball")
 
-    out, cache = tdc.forward(params, static, v, a, text=text, return_cache=True)
+    queries = tdc.build_queries(params, static, text)
+    out, cache = tdc.forward(params, queries, v, a, return_cache=True)
     stacked = tdc.backward(params, cache, up)
     assert out.shape == (3, cfg.queries, cfg.model_dim)
     singles = []
     for f in range(3):
-        out_f, cache_f = tdc.forward(params, static, v[f], a[f], text=text, return_cache=True)
+        out_f, cache_f = tdc.forward(params, queries, v[f], a[f], return_cache=True)
         np.testing.assert_allclose(out[f], out_f, rtol=0, atol=1e-12)
         singles.append(tdc.backward(params, cache_f, up[f]))
     for name in params.tensors:
@@ -213,6 +220,23 @@ def test_frame_stack_matches_single_frames(query_type):
     assert np.abs(stacked["text_embed"]).max() > 0.0
     with pytest.raises(ShapeError):
         tdc.backward(params, cache, up[0])
+
+
+@pytest.mark.parametrize("audio_tokens", [0, 5])
+@pytest.mark.parametrize("text_conditioning", [False, True], ids=["text-off", "text-on"])
+@pytest.mark.parametrize("query_type", qformer.QUERY_TYPES)
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_frame_stack_rows_equal_single_frames_bitwise(layers, query_type, text_conditioning, audio_tokens):
+    # a window's frames give the same numbers one at a time as in one stack
+    cfg = tiny_config(layers=layers, query_type=query_type, text_conditioning=text_conditioning)
+    params = tdc.init_params(cfg)
+    rng = np.random.default_rng(layers)
+    queries = tdc.build_queries(params, rng.standard_normal((5, cfg.visual_dim)), tdc.tokenize_text("where is it"))
+    v = rng.standard_normal((4, 6, cfg.visual_dim))
+    a = rng.standard_normal((4, audio_tokens, cfg.audio_dim))
+    stacked = tdc.forward(params, queries, v, a)
+    for f in range(4):
+        np.testing.assert_array_equal(tdc.forward(params, queries, v[f], a[f]), stacked[f])
 
 
 def test_grad_check_passes_and_is_deterministic():
@@ -263,9 +287,9 @@ def test_avgpool_query_path_gradient_matches_finite_differences():
     up = rng.standard_normal((3, cfg.queries, cfg.model_dim))
 
     def loss():
-        return float(np.sum(up * tdc.forward(params, static, v, a)))
+        return float(np.sum(up * tdc.forward(params, tdc.build_queries(params, static), v, a)))
 
-    _, cache = tdc.forward(params, static, v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, static), v, a, return_cache=True)
     analytic = tdc.backward(params, cache, up)["visual_proj"]
 
     w = params.tensors["visual_proj"]
