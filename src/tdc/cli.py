@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ArgumentError) as exc:
         print(f"tdc: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"tdc: usage error: the request does not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FormatError, OSError) as exc:
         print(f"tdc: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -135,7 +135,7 @@ def assemble_tdc(
     with np.errstate(invalid="ignore", over="ignore"):
         for w_idx, window in enumerate(plan.windows):
             s = window.static_frame
-            static = qformer.project(params, visual[s], audio[s])[2]
+            static = qformer.project(params, visual[s], audio[s])
             emit(static[:m_v], Provenance.STATIC_VISUAL, s, w_idx)
             emit(static[m_v:], Provenance.STATIC_AUDIO, s, w_idx)
             emit(sep.copy(), Provenance.SEP, -1, w_idx)

@@ -15,6 +15,9 @@ tokens form a set.
 Cross-attention builds no key or value tokens: its key and value weights
 fold into each modality's projection, G = W @ [wk | wv], so per head the
 scores are (q @ Gkᵀ) @ xᵀ and the context (probs @ x) @ Gv on frame tokens x.
+A frame is visual tokens then audio tokens, each with fixed columns of
+[W_v ; W_a]ᵀ.  A modality with 0 tokens takes no branch: it adds no score
+column, and zero columns to probs @ x and to its projection's gradient.
 
 Only cross-attention reads a frame, so ``build_queries`` builds once what a
 window's frames share: its queries, layer 0's self-attention over [queries ;
@@ -71,10 +74,6 @@ class QFormerConfig:
             raise ArgumentError(f"visual_dim {self.visual_dim} must be >= 1, audio_dim {self.audio_dim} >= 0")
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
 
     @property
     def ffn_dim(self) -> int:
@@ -155,7 +154,8 @@ def init_params(cfg: QFormerConfig) -> QFormerParams:
 
 
 def _frame_tokens(params: QFormerParams, visual, audio):
-    """The one check of one frame's or a stack's tokens, (m, d) or (F, m, d): float64 (visual, audio)."""
+    """The one check of one frame's or a stack's tokens, (m, d) or (F, m, d): float64 (visual, audio)
+    at the config's widths; audio of 0 tokens may arrive at any width."""
     cfg = params.cfg
     v = np.asarray(visual, dtype=np.float64)
     a = np.asarray(audio, dtype=np.float64)
@@ -165,14 +165,13 @@ def _frame_tokens(params: QFormerParams, visual, audio):
         raise ShapeError(f"visual dim {v.shape[-1]} does not match config {cfg.visual_dim}")
     if a.shape[-2] > 0 and a.shape[-1] != cfg.audio_dim:
         raise ShapeError(f"audio dim {a.shape[-1]} does not match config {cfg.audio_dim}")
-    return v, a
+    return v, a.reshape(*a.shape[:-1], cfg.audio_dim)
 
 
-def project(params: QFormerParams, visual, audio):
-    """Frame tokens in model space: float64 (visual, audio, [visual @ W_v ; audio @ W_a])."""
+def project(params: QFormerParams, visual, audio) -> np.ndarray:
+    """Frame tokens in model space: float64 [visual @ W_v ; audio @ W_a]."""
     v, a = _frame_tokens(params, visual, audio)
-    kv_a = a @ params["audio_proj"] if a.shape[-2] else np.zeros(v.shape[:-2] + (0, params.cfg.model_dim))
-    return v, a, np.concatenate([v @ params["visual_proj"], kv_a], axis=-2)
+    return np.concatenate([v @ params["visual_proj"], a @ params["audio_proj"]], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +188,13 @@ class _AttnCache(NamedTuple):
     merged: np.ndarray  # (..., n_q, d), the heads' context before the output projection
 
 
-class _Modality(NamedTuple):
-    x: np.ndarray  # (..., m, d_in) frame tokens
-    proj: str  # name of W, the (d_in, d) projection into model space
-    cols: slice  # its d_in columns of [W_v ; W_a]ᵀ
-    rows: slice  # its m tokens in each attention row
-
-
 class _CrossCache(NamedTuple):
     q_in: np.ndarray
     qs: np.ndarray  # (..., H, K, d_h), the query heads scaled by 1/sqrt(d_h)
-    frames: list[_Modality]  # every modality with tokens
-    w_t: np.ndarray  # (d, d_v + d_a): [W_v ; W_a]ᵀ, the projections side by side
-    gk: np.ndarray  # (H, d_h, d_v + d_a): (W @ wk)ᵀ per head, both modalities side by side
-    gv: np.ndarray  # (H, d_h, d_v + d_a): (W @ wv)ᵀ likewise
-    probs: list  # (..., H, K, m) per modality, its block of each attention row
-    px: np.ndarray  # (..., H, K, d_v + d_a): probs @ x side by side, zero for a modality without tokens
+    v: np.ndarray  # (..., m_v, d_v) visual frame tokens
+    a: np.ndarray  # (..., m_a, d_a) audio frame tokens
+    probs: np.ndarray  # (..., H, K, m_v + m_a): each attention row, visual keys then audio keys
+    px: np.ndarray  # (..., H, K, d_v + d_a): [probs_v @ v | probs_a @ a]
     merged: np.ndarray  # (..., K, d), the heads' context before the output projection
 
 
@@ -305,44 +295,46 @@ def _attn_backward(d_out, cache: _AttnCache, t, prefix, grads):
     return d_qf @ t[prefix + ".wq"].T, d_kf @ t[prefix + ".wk"].T + d_vf @ t[prefix + ".wv"].T
 
 
-def _cross_forward(q_in, frames, w_t, g, t, prefix, heads):
-    """Cross-attention ``prefix`` of the K query rows q_in over the frame tokens of
-    each modality: (output, cache).  Its key and value weights come folded into
-    the projections w_t, as g = (Gk, Gv), so no key or value token is built."""
+def _halves(y, n):
+    """y's last axis split after its first n entries: (visual half, audio half)."""
+    return y[..., :n], y[..., n:]
+
+
+def _cross_forward(q_in, v, a, g, t, prefix, heads):
+    """Cross-attention ``prefix`` of the K query rows q_in over a frame's visual
+    tokens v and audio tokens a: (output, cache).  Its key and value weights come
+    folded into the projections as g = (Gk, Gv), so no key or value token is built."""
     qh = _split_heads(q_in @ t[prefix + ".wq"], heads)
     qs = qh * (1.0 / np.sqrt(qh.shape[-1]))
     gk, gv = g
-    a = qs @ gk
-    scores = [_head_rows(a[..., f.cols], f.x.swapaxes(-1, -2)) for f in frames]
+    scores = [_head_rows(s, x.swapaxes(-1, -2)) for s, x in zip(_halves(qs @ gk, v.shape[-1]), (v, a))]
     probs = kernels.softmax_rows(np.concatenate(scores, axis=-1))
-    probs = [probs[..., f.rows] for f in frames]
-    px = np.zeros(a.shape)
-    for p, f in zip(probs, frames):
-        px[..., f.cols] = _head_rows(p, f.x)
+    px = np.concatenate([_head_rows(p, x) for p, x in zip(_halves(probs, v.shape[-2]), (v, a))], axis=-1)
     merged = _merge_heads(px @ gv.swapaxes(-1, -2))
-    return merged @ t[prefix + ".wo"], _CrossCache(q_in, qs, frames, w_t, gk, gv, probs, px, merged)
+    return merged @ t[prefix + ".wo"], _CrossCache(q_in, qs, v, a, probs, px, merged)
 
 
-def _cross_backward(d_out, cache: _CrossCache, t, prefix, grads):
-    """Gradient of the query rows of cross-attention ``prefix``; adds its weight
-    and projection gradients into grads, chained through the folded weights."""
-    qs = cache.qs
+def _cross_backward(d_out, cache: _CrossCache, w_t, g, t, prefix, grads):
+    """Gradient of the query rows of cross-attention ``prefix``; adds its weight and
+    projection gradients into grads, chained through g = (Gk, Gv) folded from w_t."""
+    qs, v, a = cache.qs, cache.v, cache.a
+    gk, gv = g
     grads[prefix + ".wo"] += _weight_grad(cache.merged, d_out)
     d_ctx = _split_heads(d_out @ t[prefix + ".wo"].T, qs.shape[-3])
-    d_px = d_ctx @ cache.gv
-    # each softmax row spans every modality: sum(d_probs * probs) = sum(d_px * px)
+    d_px = d_ctx @ gv
+    # each softmax row spans both modalities: sum(d_probs * probs) = sum(d_px * px)
     dot = (d_px * cache.px).sum(axis=-1, keepdims=True)
-    d_a = np.zeros(d_px.shape)
-    for f, p in zip(cache.frames, cache.probs):
-        d_a[..., f.cols] = _head_rows(p * (_head_rows(d_px[..., f.cols], f.x.swapaxes(-1, -2)) - dot), f.x)
+    # d_s: the gradient of s = qs @ Gk, whose halves score the visual and the audio tokens
+    halves = zip((v, a), _halves(cache.probs, v.shape[-2]), _halves(d_px, v.shape[-1]))
+    d_s = np.concatenate([_head_rows(p * (_head_rows(d, x.swapaxes(-1, -2)) - dot), x) for x, p, d in halves], axis=-1)
     d_w_t = 0.0
-    for w, d_g in ((".wk", _head_grad(qs, d_a)), (".wv", _head_grad(d_ctx, cache.px))):
+    for w, d_g in ((".wk", _head_grad(qs, d_s)), (".wv", _head_grad(d_ctx, cache.px))):
         d_g = d_g.reshape(-1, d_g.shape[-1])  # gradient of (W @ w)ᵀ = wᵀ @ w_t
-        grads[prefix + w] += cache.w_t @ d_g.T
+        grads[prefix + w] += w_t @ d_g.T
         d_w_t = d_w_t + t[prefix + w] @ d_g
-    for f in cache.frames:
-        grads[f.proj] += d_w_t[:, f.cols].T
-    d_qf = _merge_heads(d_a @ cache.gk.swapaxes(-1, -2)) * (1.0 / np.sqrt(qs.shape[-1]))
+    for proj, d_w in zip(("visual_proj", "audio_proj"), _halves(d_w_t, v.shape[-1])):
+        grads[proj] += d_w.T
+    d_qf = _merge_heads(d_s @ gk.swapaxes(-1, -2)) * (1.0 / np.sqrt(qs.shape[-1]))
     grads[prefix + ".wq"] += _weight_grad(cache.q_in, d_qf)
     return d_qf @ t[prefix + ".wq"].T
 
@@ -392,14 +384,7 @@ def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return
     cfg = params.cfg
     t = params.tensors
     v, a = _frame_tokens(params, visual, audio)
-    # a modality with no tokens takes no part: its columns of px stay zero and its projection gets no gradient
-    frames, col, tok = [], 0, 0
-    for tokens, proj in ((v, "visual_proj"), (a, "audio_proj")):
-        m, d_in = tokens.shape[-2], t[proj].shape[0]
-        if m:
-            frames.append(_Modality(tokens, proj, slice(col, col + d_in), slice(tok, tok + m)))
-        col, tok = col + d_in, tok + m
-    if not frames:
+    if v.shape[-2] + a.shape[-2] == 0:
         raise ShapeError("cross-attention needs at least one visual or audio token")
     k = cfg.queries
     # layer 0's self-attention ran once for the window; each frame starts at its cross-attention
@@ -413,7 +398,7 @@ def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return
             x, ln1, self_cache = _self_forward(x, k if i == cfg.layers - 1 else x.shape[-2], t, p, cfg.heads)
 
         h2, ln2 = _norm(x[..., :k, :], t, p + "cross_norm")
-        ca, cross_cache = _cross_forward(h2, frames, queries.w_t, queries.g[i], t, p + "cross", cfg.heads)
+        ca, cross_cache = _cross_forward(h2, v, a, queries.g[i], t, p + "cross", cfg.heads)
         x[..., :k, :] += ca
 
         h3, ln3 = _norm(x, t, p + "ffn_norm")
@@ -439,6 +424,7 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
     cfg = params.cfg
     t = params.tensors
     k = cfg.queries
+    queries = cache.queries
     out_shape = cache.final_ln[0].shape
     up = np.asarray(upstream, dtype=np.float64)
     if up.shape != out_shape:
@@ -459,7 +445,7 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         d_x = d_x + _norm_backward(d_u @ t[p + "ffn.w1"].T, lc.ln3, t, p + "ffn_norm", grads)
 
         # cross-attention block (query rows only)
-        d_q_in = _cross_backward(d_x[..., :k, :], lc.cross, t, p + "cross", grads)
+        d_q_in = _cross_backward(d_x[..., :k, :], lc.cross, queries.w_t, queries.g[i], t, p + "cross", grads)
         d_x[..., :k, :] += _norm_backward(d_q_in, lc.ln2, t, p + "cross_norm", grads)
 
         if i == 0:
@@ -473,11 +459,11 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
         d_x1[..., :r, :] += d_x
         d_x = d_x1
 
-    np.add.at(grads["text_embed"], np.asarray(cache.queries.ids, dtype=np.intp), d_x[k:])
-    if cache.queries.pooled is None:
+    np.add.at(grads["text_embed"], np.asarray(queries.ids, dtype=np.intp), d_x[k:])
+    if queries.pooled is None:
         grads["learned_queries"] += d_x[:k]
     else:
-        grads["visual_proj"] += cache.queries.pooled.T @ d_x[:k]
+        grads["visual_proj"] += queries.pooled.T @ d_x[:k]
     return grads
 
 

@@ -171,7 +171,7 @@ def test_criterion_06_attention_properties():
 
             # convex hull per head, every layer
             _, cache = tdc.forward(queried, tdc.build_queries(queried, None), v, a, return_cache=True)
-            kv = qformer.project(queried, v, a)[2]
+            kv = qformer.project(queried, v, a)
             for i, lc in enumerate(cache.layers):
                 vh = split_heads(kv @ queried[f"layers.{i}.cross.wv"], cfg.heads)
                 ctx = split_heads(lc.cross.merged, cfg.heads)

@@ -51,6 +51,19 @@ def test_gen_bad_value_is_one_usage_error_line(capsys, tmp_path, option):
     assert not path.exists()
 
 
+def test_allocation_the_machine_refuses_is_one_usage_line(capsys, tmp_path):
+    # 10**12 frames of 144 visual tokens of dim 8 in float64 is 8 PiB, beyond any
+    # x86-64 address space: refused under every overcommit mode, no memory touched
+    path = tmp_path / "x.tdcf"
+    code = main(["gen", "--output", str(path), "--frames", "1000000000000", "--dims", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("tdc: usage error:") and captured.err.count("\n") == 1
+    assert "(1000000000000, 144, 8)" in captured.err
+    assert captured.out == ""
+    assert not path.exists()
+
+
 def test_segment_record(capsys, tmp_path):
     path = gen_file(capsys, tmp_path)
     code, record, _ = run(capsys, "segment", "--input", str(path))

@@ -38,7 +38,7 @@ def attention(q_in, kv_in, t, prefix, heads):
 def unfolded_forward(params, static, visual, audio, text=None):
     cfg, t = params.cfg, params.tensors
     k = cfg.queries
-    kv = qformer.project(params, visual, audio)[2]
+    kv = qformer.project(params, visual, audio)
     ids = list(text.ids) if cfg.text_conditioning and text is not None else []
     pooled = kernels.pool_matrix(len(static), k) @ static if cfg.query_type == "avgpool" else None
     q = t["learned_queries"] if pooled is None else pooled @ t["visual_proj"]

@@ -31,8 +31,7 @@ def test_init_is_deterministic_per_seed():
     assert any(not np.array_equal(a[k], c[k]) for k in a.tensors)
 
 
-def test_head_dim_and_divisibility():
-    assert tdc.QFormerConfig(model_dim=64, heads=4).head_dim == 16
+def test_heads_must_divide_model_dim():
     with pytest.raises(ArgumentError):
         tdc.QFormerConfig(model_dim=64, heads=5)
 
@@ -143,7 +142,7 @@ def test_convex_hull_of_cross_attention_heads(default_params):
     v = rng.standard_normal((8, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
     _, cache = tdc.forward(params, tdc.build_queries(params, None), v, a, return_cache=True)
-    kv = qformer.project(params, v, a)[2]
+    kv = qformer.project(params, v, a)
     for i, lc in enumerate(cache.layers):
         # each head's values, and its context before the output projection
         vh = split_heads(kv @ params[f"layers.{i}.cross.wv"], cfg.heads)
@@ -174,21 +173,36 @@ def test_unused_learned_queries_get_zero_gradient():
 
 
 @pytest.mark.parametrize("frames", [(), (3,)], ids=["frame", "stack"])
-@pytest.mark.parametrize("audio_dim, audio_width", [(0, 0), (0, 32), (6, 6), (6, 32)])
-def test_backward_without_audio_tokens(audio_dim, audio_width, frames):
-    # 0 audio tokens of any width: no audio_proj product, so its gradient is zero and keeps its shape
-    cfg = tiny_config(audio_dim=audio_dim, text_conditioning=True)
+@pytest.mark.parametrize(
+    "query_type, m_v, m_a, audio_dim, audio_width",
+    [
+        pytest.param("avgpool", 6, 0, 0, 0, id="0-0"),
+        pytest.param("avgpool", 6, 0, 0, 32, id="0-32"),
+        pytest.param("avgpool", 6, 0, 6, 6, id="6-6"),
+        pytest.param("avgpool", 6, 0, 6, 32, id="6-32"),
+        pytest.param("learned", 0, 5, 6, 6, id="learned-no-visual"),
+    ],
+)
+def test_backward_without_audio_tokens(query_type, m_v, m_a, audio_dim, audio_width, frames):
+    # a modality of 0 tokens (audio of any width): every product over its 0 tokens
+    # is exactly zero, so its projection's gradient is zero and keeps its shape
+    cfg = tiny_config(query_type=query_type, audio_dim=audio_dim, text_conditioning=True)
     params = tdc.init_params(cfg)
     rng = np.random.default_rng(15)
     static = rng.standard_normal((4, cfg.visual_dim))
-    v = rng.standard_normal(frames + (6, cfg.visual_dim))
-    audio = np.zeros(frames + (0, audio_width))
+    v = rng.standard_normal(frames + (m_v, cfg.visual_dim))
+    audio = rng.standard_normal(frames + (m_a, audio_width))
     queries = tdc.build_queries(params, static, tdc.tokenize_text("no sound"))
     out, cache = tdc.forward(params, queries, v, audio, return_cache=True)
     grads = tdc.backward(params, cache, rng.standard_normal(out.shape))
+    assert out.shape == frames + (cfg.queries, cfg.model_dim)
     assert {n: g.shape for n, g in grads.items()} == {n: t.shape for n, t in params.tensors.items()}
-    assert not grads["audio_proj"].any()
-    assert np.abs(grads["visual_proj"]).max() > 0.0
+    empty, full = ("visual_proj", "audio_proj") if m_v == 0 else ("audio_proj", "visual_proj")
+    assert not grads[empty].any()
+    assert np.abs(grads[full]).max() > 0.0
+    # project's rows are exactly those of the modality with tokens
+    rows = audio @ params["audio_proj"] if m_v == 0 else v @ params["visual_proj"]
+    np.testing.assert_array_equal(qformer.project(params, v, audio), rows)
 
 
 @pytest.mark.parametrize("query_type", ["avgpool", "learned"])
