@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import compressor, lvcot, qformer, segmenter, timeline
 from .errors import (
     EXIT_IO,

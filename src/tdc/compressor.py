@@ -119,36 +119,29 @@ def assemble_tdc(
     m_v = visual.shape[1]
     sep = params["sep"]
 
-    chunks: list[np.ndarray] = []
-    prov: list[np.ndarray] = []
-    frames: list[np.ndarray] = []
-    windows: list[np.ndarray] = []
-
-    def emit(block: np.ndarray, code: Provenance, frame: int, window: int) -> None:
-        n = block.shape[0]
-        chunks.append(block)
-        prov.append(np.full(n, int(code), dtype=np.uint8))
-        frames.append(np.full(n, frame, dtype=np.int32))
-        windows.append(np.full(n, window, dtype=np.int32))
+    blocks: list[np.ndarray] = []
+    runs: list[tuple[int, int, int, int]] = []  # (window, frame, provenance, rows) in stream order
 
     # a non-finite input is reported once, by the stream check below
     with np.errstate(invalid="ignore", over="ignore"):
-        for w_idx, window in enumerate(plan.windows):
+        for w, window in enumerate(plan.windows):
             s = window.static_frame
             static = qformer.project(params, visual[s], audio[s])
-            emit(static[:m_v], Provenance.STATIC_VISUAL, s, w_idx)
-            emit(static[m_v:], Provenance.STATIC_AUDIO, s, w_idx)
-            emit(sep.copy(), Provenance.SEP, -1, w_idx)
+            blocks += [static, sep]
+            runs += [(w, s, Provenance.STATIC_VISUAL, m_v), (w, s, Provenance.STATIC_AUDIO, len(static) - m_v)]
+            runs.append((w, -1, Provenance.SEP, len(sep)))
             if window.dynamic_frames:
                 queries = qformer.build_queries(params, visual[s], text)
             for f in window.dynamic_frames:
-                emit(qformer.forward(params, queries, visual[f], audio[f]), Provenance.DYNAMIC, f, w_idx)
+                blocks.append(qformer.forward(params, queries, visual[f], audio[f]))
+                runs.append((w, f, Provenance.DYNAMIC, len(blocks[-1])))
 
+    window_of, frame_of, code_of, rows = np.array(runs, dtype=np.int32).T
     stream = TDCStream(
-        tokens=np.vstack(chunks),
-        provenance=np.concatenate(prov),
-        frame_index=np.concatenate(frames),
-        window_index=np.concatenate(windows),
+        tokens=np.vstack(blocks),
+        provenance=np.repeat(code_of.astype(np.uint8), rows),
+        frame_index=np.repeat(frame_of, rows),
+        window_index=np.repeat(window_of, rows),
     )
     _check_finite(stream.tokens, stream, "is not finite")
     return stream

@@ -82,11 +82,10 @@ def run_lvcot(
     """Split, summarize each span, then answer over the whole video."""
     spans = contiguous_groups(tl.frame_count, cfg.segments)
     text = tokenize_text(question)
+    prompt = SEGMENT_TEMPLATE.format(question=question)
 
-    prompts: list[str] = []
     answers: list[str] = []
     for i, (start, stop) in enumerate(spans):
-        prompt = SEGMENT_TEMPLATE.format(question=question)
         try:
             _, stream = ctx.compress(tl.slice(start, stop), text)
         except NumericError as exc:
@@ -97,7 +96,6 @@ def run_lvcot(
             answers.append(answerer.answer(prompt, stream))
         except OrchestrationError as exc:
             raise OrchestrationError(f"segment {i} ({start}s-{stop}s) failed: {exc}") from exc
-        prompts.append(prompt)
 
     notes = [f"[{start}s-{stop}s]: {answer}" for (start, stop), answer in zip(spans, answers)]
     final_prompt = "\n".join(notes + [FINAL_TEMPLATE.format(question=question)])
@@ -109,7 +107,7 @@ def run_lvcot(
 
     return LVCoTTrace(
         spans=spans,
-        segment_prompts=tuple(prompts),
+        segment_prompts=(prompt,) * len(spans),
         segment_answers=tuple(answers),
         final_prompt=final_prompt,
         final_answer=final_answer,

@@ -155,7 +155,7 @@ def init_params(cfg: QFormerConfig) -> QFormerParams:
 
 def _frame_tokens(params: QFormerParams, visual, audio):
     """The one check of one frame's or a stack's tokens, (m, d) or (F, m, d): float64 (visual, audio)
-    at the config's widths; audio of 0 tokens may arrive at any width."""
+    at the config's widths, no token 0 wide; audio of 0 tokens may arrive at any width."""
     cfg = params.cfg
     v = np.asarray(visual, dtype=np.float64)
     a = np.asarray(audio, dtype=np.float64)
@@ -165,6 +165,8 @@ def _frame_tokens(params: QFormerParams, visual, audio):
         raise ShapeError(f"visual dim {v.shape[-1]} does not match config {cfg.visual_dim}")
     if a.shape[-2] > 0 and a.shape[-1] != cfg.audio_dim:
         raise ShapeError(f"audio dim {a.shape[-1]} does not match config {cfg.audio_dim}")
+    if a.shape[-2] and not a.shape[-1]:  # keys of score 0 and value 0 that would still take attention mass
+        raise ShapeError(f"{a.shape[-2]} audio tokens per frame of dim 0")
     return v, a.reshape(*a.shape[:-1], cfg.audio_dim)
 
 

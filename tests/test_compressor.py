@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdc
 from tdc import kernels, qformer
@@ -185,6 +187,46 @@ def test_stream_order_and_counts():
         assert all(c == int(Provenance.DYNAMIC) for c in codes[v + a + 1 :])
     # sep rows carry no frame index
     assert set(stream.frame_index[stream.provenance == int(Provenance.SEP)]) == {-1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    frames=st.integers(1, 9),
+    visual_tokens=st.integers(1, 4),
+    audio_tokens=st.integers(0, 3),
+    query_type=st.sampled_from(qformer.QUERY_TYPES),
+    text_on=st.booleans(),
+    window_length=st.integers(1, 4),
+    max_scenes=st.integers(1, 3),
+    tau=st.floats(-1.0, 1.0),
+)
+def test_each_window_equals_that_window_assembled_alone(
+    data, seed, frames, visual_tokens, audio_tokens, query_type, text_on, window_length, max_scenes, tau
+):
+    # every channel of a window's rows depends on that window's frames alone (the guard for window reuse)
+    tl = random_timeline(np.random.default_rng(seed), frames, visual_tokens, audio_tokens, dim=4)
+    # avgpool pools the static frame's visual tokens into K queries, so K <= m_v there
+    k = data.draw(st.integers(1, visual_tokens if query_type == "avgpool" else 3), label="queries")
+    cfg = tdc.QFormerConfig(
+        model_dim=8, heads=2, layers=2, queries=k, visual_dim=4, audio_dim=4,
+        query_type=query_type, text_conditioning=text_on, seed=seed,
+    )
+    ctx = tdc.CompressionContext(tdc.init_params(cfg), tdc.SegmenterConfig(max_scenes, tau), window_length)
+    text = tdc.tokenize_text("where is the ball") if text_on else None
+    plan, stream = ctx.compress(tl, text)
+    start = 0
+    for w, window in enumerate(plan.windows):
+        s, n = window.static_frame, window.frame_count
+        alone = tdc.assemble_tdc(tl.slice(s, s + n), tdc.make_windows(ScenePartition(n, ()), n), ctx.params, text)
+        rows = slice(start, start + len(alone))
+        assert stream.tokens[rows].tobytes() == alone.tokens.tobytes()
+        assert np.array_equal(stream.provenance[rows], alone.provenance)
+        assert np.array_equal(stream.frame_index[rows], np.where(alone.frame_index < 0, -1, alone.frame_index + s))
+        assert np.array_equal(stream.window_index[rows], np.full(len(alone), w))
+        start += len(alone)
+    assert start == len(stream)
 
 
 def test_single_frame_window_has_no_dynamic_tokens(default_params):

@@ -64,6 +64,12 @@ def test_forward_rejects_bad_shapes():
         tdc.forward(params, queries, v[:, :-1], a)
     with pytest.raises(ShapeError):
         tdc.forward(params, queries, np.zeros((0, cfg.visual_dim)), np.zeros((0, cfg.audio_dim)))
+    # 50 audio tokens of width 0 would be keys of score 0 and value 0 that still take attention mass
+    params = tdc.init_params(tiny_config(audio_dim=0))
+    queries = tdc.build_queries(params, v)
+    for call in (lambda a: tdc.forward(params, queries, v, a), lambda a: qformer.project(params, v, a)):
+        with pytest.raises(ShapeError, match="^50 audio tokens per frame of dim 0$"):
+            call(np.zeros((50, 0)))
 
 
 def test_joint_kv_permutation_invariance():
