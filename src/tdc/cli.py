@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Every subcommand prints exactly one JSON record on stdout and exits 0 on
-success.  Failures print a diagnostic on stderr and exit with a documented
-code: 1 usage, 2 I/O or file-format, 3 numeric, 4 orchestration.
+Each subcommand returns its record, and ``main`` prints it on stdout as one
+JSON line whose first key, ``command``, names the subcommand; it then exits
+0.  Failures print a diagnostic on stderr and exit with a documented code:
+1 usage, 2 I/O or file-format, 3 numeric, 4 orchestration.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic timeline file")
+    gen.set_defaults(run=_cmd_gen)
     gen.add_argument("--output", required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--frames", type=int, default=60)
@@ -75,32 +77,30 @@ def _build_parser() -> _Parser:
     model.add_argument("--seed", type=int, default=0, help="compressor parameter seed")
     model.add_argument("--query-type", choices=qformer.QUERY_TYPES, default="avgpool")
 
-    sub.add_parser("segment", parents=[scenes], help="report scene cuts for a timeline file")
+    sub.add_parser("segment", parents=[scenes], help="report scene cuts for a timeline file").set_defaults(run=_cmd_segment)
 
     comp = sub.add_parser("compress", parents=[windows, model], help="compress a timeline file")
+    comp.set_defaults(run=_cmd_compress)
     comp.add_argument("--output", required=True)
     comp.add_argument("--text", default=None, help="instruction text for conditioned compression")
 
-    sub.add_parser("budget", parents=[windows], help="budget a timeline file")
+    sub.add_parser("budget", parents=[windows], help="budget a timeline file").set_defaults(run=_cmd_budget)
 
     lv = sub.add_parser("lvcot", parents=[windows, model], help="segment-then-integrate question answering")
+    lv.set_defaults(run=_cmd_lvcot)
     lv.add_argument("--text", required=True, help="the question")
     lv.add_argument("--segments", type=int, default=lvcot.DEFAULT_SEGMENTS)
     lv.add_argument("--script", default=None,
                     help="JSON list of scripted answers, one per call (default: echo answers)")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
+    gc.set_defaults(run=_cmd_gradcheck)
     gc.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
-def _emit(record: dict) -> None:
-    json.dump(record, sys.stdout)
-    sys.stdout.write("\n")
-
-
-def _cmd_gen(args) -> None:
+def _cmd_gen(args) -> dict:
     spec = timeline.SynthSpec(
         seed=args.seed,
         frames=args.frames,
@@ -110,34 +110,28 @@ def _cmd_gen(args) -> None:
     )
     tl = timeline.synth_generate(spec)
     timeline.write_tdcf(tl, args.output)
-    _emit(
-        {
-            "command": "gen",
-            "output": args.output,
-            "frames": tl.frame_count,
-            "boundaries": list(spec.boundaries),
-            "seed": args.seed,
-        }
-    )
+    return {
+        "output": args.output,
+        "frames": tl.frame_count,
+        "boundaries": list(spec.boundaries),
+        "seed": args.seed,
+    }
 
 
 def _segmenter_config(args) -> segmenter.SegmenterConfig:
     return segmenter.SegmenterConfig(max_scenes=args.max_segments, tau=args.tau)
 
 
-def _cmd_segment(args) -> None:
+def _cmd_segment(args) -> dict:
     tl = timeline.read_tdcf(args.input)
     partition = segmenter.segment_scenes(tl, _segmenter_config(args))
-    _emit(
-        {
-            "command": "segment",
-            "frames": tl.frame_count,
-            "boundaries": list(partition.boundaries),
-            "cut_similarities": list(partition.cut_similarities),
-            "scene_count": partition.scene_count,
-            "scenes": [list(s) for s in partition.scenes],
-        }
-    )
+    return {
+        "frames": tl.frame_count,
+        "boundaries": list(partition.boundaries),
+        "cut_similarities": list(partition.cut_similarities),
+        "scene_count": partition.scene_count,
+        "scenes": [list(s) for s in partition.scenes],
+    }
 
 
 def _context(tl, args) -> tuple[compressor.CompressionContext, timeline.InstructionTokens | None]:
@@ -163,41 +157,35 @@ def _context(tl, args) -> tuple[compressor.CompressionContext, timeline.Instruct
     return ctx, text
 
 
-def _cmd_compress(args) -> None:
+def _cmd_compress(args) -> dict:
     tl = timeline.read_tdcf(args.input)
     ctx, text = _context(tl, args)
     plan, stream = ctx.compress(tl, text)
     compressor.write_stream(stream, args.output)
     counts = {p.name.lower(): int((stream.provenance == int(p)).sum()) for p in compressor.Provenance}
-    _emit(
-        {
-            "command": "compress",
-            "output": args.output,
-            "tokens": len(stream),
-            "scenes": plan.partition.scene_count,
-            "windows": len(plan.windows),
-            "provenance_counts": counts,
-        }
-    )
+    return {
+        "output": args.output,
+        "tokens": len(stream),
+        "scenes": plan.partition.scene_count,
+        "windows": len(plan.windows),
+        "provenance_counts": counts,
+    }
 
 
-def _cmd_budget(args) -> None:
+def _cmd_budget(args) -> dict:
     tl = timeline.read_tdcf(args.input)
     plan = compressor.make_windows(segmenter.segment_scenes(tl, _segmenter_config(args)), args.window)
     report = compressor.token_budget(tl, plan, qformer.QFormerConfig(queries=args.k))
-    _emit(
-        {
-            "command": "budget",
-            "total": report.total,
-            "naive": report.naive,
-            "ratio": report.ratio,
-            "windows": len(report.per_window),
-            "per_window": list(report.per_window),
-        }
-    )
+    return {
+        "total": report.total,
+        "naive": report.naive,
+        "ratio": report.ratio,
+        "windows": len(report.per_window),
+        "per_window": list(report.per_window),
+    }
 
 
-def _cmd_lvcot(args) -> None:
+def _cmd_lvcot(args) -> dict:
     tl = timeline.read_tdcf(args.input)
     if args.script is not None:
         try:
@@ -214,50 +202,34 @@ def _cmd_lvcot(args) -> None:
         answerer = lvcot.EchoAnswerer()
     ctx, _ = _context(tl, args)
     trace = lvcot.run_lvcot(tl, args.text, answerer, lvcot.LVCoTConfig(segments=args.segments), ctx)
-    _emit(
-        {
-            "command": "lvcot",
-            "spans": [list(s) for s in trace.spans],
-            "segment_answers": list(trace.segment_answers),
-            "final_prompt": trace.final_prompt,
-            "final_answer": trace.final_answer,
-        }
-    )
+    return {
+        "spans": [list(s) for s in trace.spans],
+        "segment_answers": list(trace.segment_answers),
+        "final_prompt": trace.final_prompt,
+        "final_answer": trace.final_answer,
+    }
 
 
-def _cmd_gradcheck(args) -> None:
+def _cmd_gradcheck(args) -> dict:
     report = qformer.grad_check(seed=args.seed)
     if not report.passed:
         raise NumericError(
             f"gradient check failed: max relative error {report.max_relative_error:.3e}"
         )
-    _emit(
-        {
-            "command": "gradcheck",
-            "seed": args.seed,
-            "max_relative_error": report.max_relative_error,
-            "threshold": report.threshold,
-            "passed": report.passed,
-            "per_tensor": {k: float(v) for k, v in report.per_tensor.items()},
-        }
-    )
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "segment": _cmd_segment,
-    "compress": _cmd_compress,
-    "budget": _cmd_budget,
-    "lvcot": _cmd_lvcot,
-    "gradcheck": _cmd_gradcheck,
-}
+    return {
+        "seed": args.seed,
+        "max_relative_error": report.max_relative_error,
+        "threshold": report.threshold,
+        "passed": report.passed,
+        "per_tensor": {k: float(v) for k, v in report.per_tensor.items()},
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
+        print(json.dumps({"command": args.command, **args.run(args)}))
         return 0
     except (_UsageError, ArgumentError) as exc:
         print(f"tdc: usage error: {exc}", file=sys.stderr)

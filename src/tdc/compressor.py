@@ -50,6 +50,21 @@ class WindowPlan:
     partition: ScenePartition
     windows: tuple[Window, ...]
 
+    def __post_init__(self):
+        # in order, the windows tile each scene, each window its static frame and the run of frames after it
+        frames = tuple(range(self.frame_count))
+        scene_ends = iter((*self.partition.boundaries, self.frame_count))
+        start, end = 0, next(scene_ends)
+        for i, w in enumerate(self.windows):
+            stop = start + 1 + len(w.dynamic_frames)
+            if w.static_frame != start or w.dynamic_frames != frames[start + 1:stop] or stop > end:
+                raise ArgumentError(f"window {i} must be frame {start} and a run of the frames after it before {end}, got {w}")
+            start = stop
+            if start == end:
+                end = next(scene_ends, end)
+        if start != self.frame_count:
+            raise ArgumentError(f"the windows cover {start} of the plan's {self.frame_count} frames")
+
     @property
     def frame_count(self) -> int:
         return self.partition.frame_count

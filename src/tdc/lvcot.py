@@ -51,7 +51,7 @@ class EchoAnswerer:
     """Deterministic digest of the prompt and stream contents, for trace tests."""
 
     def answer(self, prompt: str, stream: TDCStream) -> str:
-        content = zlib.crc32(np.ascontiguousarray(stream.tokens, dtype="<f8").tobytes())
+        content = zlib.crc32(np.ascontiguousarray(stream.tokens, dtype="<f8"))
         return (
             f"echo[{len(stream)} tokens|{len(prompt)} chars|"
             f"p{zlib.crc32(prompt.encode('utf-8')):08x}|s{content:08x}]"

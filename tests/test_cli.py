@@ -128,6 +128,27 @@ def test_gradcheck_passes(capsys):
     assert record["max_relative_error"] <= 1e-5
 
 
+# each record's keys after `command`, in order
+RECORD_KEYS = {
+    "gen --output g.tdcf": "output frames boundaries seed",
+    "segment --input t.tdcf": "frames boundaries cut_similarities scene_count scenes",
+    "compress --input t.tdcf --output s.tdcs": "output tokens scenes windows provenance_counts",
+    "budget --input t.tdcf": "total naive ratio windows per_window",
+    "lvcot --input t.tdcf --text q": "spans segment_answers final_prompt final_answer",
+    "gradcheck": "seed max_relative_error threshold passed per_tensor",
+}
+
+
+@pytest.mark.parametrize("argv", RECORD_KEYS, ids=lambda argv: argv.split()[0])
+def test_record_keys_in_order_with_command_first(capsys, tmp_path, monkeypatch, argv):
+    gen_file(capsys, tmp_path, frames=12, boundaries="6")
+    monkeypatch.chdir(tmp_path)
+    code, record, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert list(record) == ["command", *RECORD_KEYS[argv].split()]
+    assert record["command"] == argv.split()[0]
+
+
 def test_lvcot_with_mock_script(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, frames=90, boundaries="30,60")
     script = tmp_path / "script.json"

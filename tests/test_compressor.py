@@ -55,6 +55,26 @@ def test_windows_cover_each_frame_once():
     assert sorted(seen) == list(range(23))
 
 
+@pytest.mark.parametrize(
+    "boundaries, windows, message",
+    [
+        ((), [(0, (1, 2))], "cover 3 of the plan's 6 frames"),  # frames 3-5 in no window
+        ((3,), [(0, (1, 2, 3, 4, 5))], "window 0 must be frame 0 and a run of the frames after it before 3"),
+        ((), [], "cover 0 of the plan's 6 frames"),
+        ((), [(0, (1, 3)), (4, (5,))], "window 0 must be frame 0"),  # a gap among the dynamic frames
+        ((3,), [(0, (1, 2)), (4, (5,))], "window 1 must be frame 3"),  # frame 3 in no window
+        ((3,), [(0, (1, 2)), (3, (4, 5)), (6, ())], "window 2 must be frame 6"),  # past the last frame
+    ],
+    ids=["short", "across-cut", "empty", "gap", "missing-static", "past-end"],
+)
+def test_window_plan_must_tile_its_partition(boundaries, windows, message):
+    partition = ScenePartition(6, boundaries)
+    with pytest.raises(ArgumentError, match=message):
+        tdc.WindowPlan(partition, tuple(tdc.Window(s, d) for s, d in windows))
+    # a hand-built plan that tiles each scene is the plan make_windows builds
+    assert tdc.WindowPlan(partition, (tdc.Window(0, (1, 2)), tdc.Window(3, (4, 5)))) == tdc.make_windows(partition, 3)
+
+
 def test_build_queries_identical_tokens():
     tl, params, _ = small_setup()
     v = np.full((6, 8), 0.0)
