@@ -134,23 +134,27 @@ def _cmd_segment(args) -> dict:
     }
 
 
-def _context(tl, args) -> tuple[compressor.CompressionContext, timeline.InstructionTokens | None]:
-    """The command's compression context and instruction text, sized before any parameter is built."""
+def _check_request(tl, k: int, query_type: str) -> None:
+    """Refuse, before any parameter is built, what compressing ``tl`` to ``k`` queries of ``query_type`` refuses."""
     # a stream of 0 tokens may declare any dim, backed by no bytes: never size a projection from it
     if tl.visual_tokens_per_frame == 0:
         raise ArgumentError("the timeline has no visual tokens to compress")
-    text = timeline.tokenize_text(args.text) if args.text else None
     # avgpool queries pool the static frame's visual tokens; learned ones attend over every key token
-    m_v, m_a = tl.visual_tokens_per_frame, tl.audio_tokens_per_frame
-    keys = m_v if args.query_type == "avgpool" else m_v + m_a
-    if args.k > keys:
-        raise ArgumentError(f"--k {args.k} is more than the {keys} tokens per frame that {args.query_type} queries draw on")
+    keys = tl.visual_tokens_per_frame + (tl.audio_tokens_per_frame if query_type == "learned" else 0)
+    if k > keys:
+        raise ArgumentError(f"--k {k} is more than the {keys} tokens per frame that {query_type} queries draw on")
+
+
+def _context(tl, args) -> tuple[compressor.CompressionContext, timeline.InstructionTokens | None]:
+    """The command's compression context and instruction text, sized before any parameter is built."""
+    _check_request(tl, args.k, args.query_type)
+    text = timeline.tokenize_text(args.text) if args.text else None
     cfg = qformer.QFormerConfig(
         queries=args.k,
         query_type=args.query_type,
         text_conditioning=args.text is not None,
         visual_dim=tl.visual_tokens.shape[2],
-        audio_dim=tl.audio_tokens.shape[2] if m_a else 0,
+        audio_dim=tl.audio_tokens.shape[2] if tl.audio_tokens_per_frame else 0,
         seed=args.seed,
     )
     ctx = compressor.CompressionContext(qformer.init_params(cfg), _segmenter_config(args), args.window)
@@ -174,6 +178,7 @@ def _cmd_compress(args) -> dict:
 
 def _cmd_budget(args) -> dict:
     tl = timeline.read_tdcf(args.input)
+    _check_request(tl, args.k, "learned")  # refuse what every query type refuses: learned ones draw on the most tokens
     plan = compressor.make_windows(segmenter.segment_scenes(tl, _segmenter_config(args)), args.window)
     report = compressor.token_budget(tl, plan, qformer.QFormerConfig(queries=args.k))
     return {

@@ -1,6 +1,8 @@
-"""Stream assembly: windowing within scenes, static-token retention,
-per-frame query compression, separator insertion, and exact token budgets.
+"""Stream assembly: window plans, static-token retention, per-frame query
+compression, separator insertion, and exact token budgets.
 ``CompressionContext.compress`` is the one path from a timeline to a stream.
+A window plan is its scene partition and window length; each window is a run
+of frames, its static frame and then its dynamic frames.
 
 Within every window the emitted order is: the static frame's projected
 visual tokens, its projected audio tokens, one separator token, then K
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -38,36 +41,33 @@ class Provenance(IntEnum):
 @dataclass(frozen=True)
 class Window:
     static_frame: int
-    dynamic_frames: tuple[int, ...]
+    stop: int
+
+    @property
+    def dynamic_frames(self) -> range:
+        return range(self.static_frame + 1, self.stop)
 
     @property
     def frame_count(self) -> int:
-        return 1 + len(self.dynamic_frames)
+        return self.stop - self.static_frame
 
 
 @dataclass(frozen=True)
 class WindowPlan:
+    """A scene partition and a window length: each scene is tiled in order with
+    windows of ``length`` frames, of which only its last may run short."""
+
     partition: ScenePartition
-    windows: tuple[Window, ...]
+    length: int
 
     def __post_init__(self):
-        # in order, the windows tile each scene, each window its static frame and the run of frames after it
-        frames = tuple(range(self.frame_count))
-        scene_ends = iter((*self.partition.boundaries, self.frame_count))
-        start, end = 0, next(scene_ends)
-        for i, w in enumerate(self.windows):
-            stop = start + 1 + len(w.dynamic_frames)
-            if w.static_frame != start or w.dynamic_frames != frames[start + 1:stop] or stop > end:
-                raise ArgumentError(f"window {i} must be frame {start} and a run of the frames after it before {end}, got {w}")
-            start = stop
-            if start == end:
-                end = next(scene_ends, end)
-        if start != self.frame_count:
-            raise ArgumentError(f"the windows cover {start} of the plan's {self.frame_count} frames")
+        if self.length < 1:
+            raise ArgumentError(f"window length must be >= 1, got {self.length}")
 
-    @property
-    def frame_count(self) -> int:
-        return self.partition.frame_count
+    @cached_property
+    def windows(self) -> tuple[Window, ...]:
+        n = self.length
+        return tuple(Window(s, min(s + n, stop)) for start, stop in self.partition.scenes for s in range(start, stop, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +106,8 @@ class BudgetReport:
 
 
 def make_windows(partition: ScenePartition, window_length: int = DEFAULT_WINDOW) -> WindowPlan:
-    """Tile each scene with consecutive windows; the last may run short."""
-    if window_length < 1:
-        raise ArgumentError(f"window length must be >= 1, got {window_length}")
-    windows = []
-    for start, stop in partition.scenes:
-        for w_start in range(start, stop, window_length):
-            w_stop = min(w_start + window_length, stop)
-            windows.append(Window(w_start, tuple(range(w_start + 1, w_stop))))
-    return WindowPlan(partition, tuple(windows))
+    """The plan of ``partition`` with windows of ``window_length`` frames."""
+    return WindowPlan(partition, window_length)
 
 
 def assemble_tdc(
@@ -127,8 +120,8 @@ def assemble_tdc(
 
     Raises NumericError, naming the first frame, if any token is not finite.
     """
-    if plan.frame_count != tl.frame_count:
-        raise ShapeError(f"plan covers {plan.frame_count} frames, timeline has {tl.frame_count}")
+    if plan.partition.frame_count != tl.frame_count:
+        raise ShapeError(f"plan covers {plan.partition.frame_count} frames, timeline has {tl.frame_count}")
     # float32 frames: project and forward convert what they read
     visual, audio = tl.visual_tokens, tl.audio_tokens
     m_v = visual.shape[1]

@@ -221,6 +221,26 @@ def test_oversized_request_is_one_usage_line_before_any_allocation(capsys, tmp_p
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_budget_refuses_what_every_compress_refuses(capsys, tmp_path):
+    # 144 visual and 50 audio tokens per frame: learned queries draw on 194 of them, avgpool ones on 144
+    path = gen_file(capsys, tmp_path, frames=24, boundaries="8,16")
+    tl = tdc.read_tdcf(path)
+    no_visual = tmp_path / "v0.tdcf"
+    tdc.write_tdcf(tdc.VideoTimeline(np.zeros((24, 0, 0)), tl.audio_tokens, tl.descriptors), no_visual)
+    out = tmp_path / "s.tdcs"
+    for timeline, k in [(path, "195"), (path, "500"), (no_visual, "4")]:
+        code, _, err = run(capsys, "budget", "--input", str(timeline), "--k", k)
+        assert code == 1 and err.startswith("tdc: usage error:") and err.count("\n") == 1
+        # every query type refuses it, and learned ones, which draw on the most tokens, with budget's line
+        argv = ["--input", str(timeline), "--output", str(out), "--k", k]
+        assert run(capsys, "compress", *argv)[0] == 1
+        assert run(capsys, "compress", *argv, "--query-type", "learned") == (1, None, err)
+    # some query type compresses each K up to 194
+    for k in ["150", "194"]:
+        code, record, _ = run(capsys, "budget", "--input", str(path), "--k", k)
+        assert code == 0 and record["total"] == 3 * (144 + 50 + 1) + 21 * int(k)
+
+
 @pytest.fixture(scope="module")
 def small_timeline(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "t.tdcf"

@@ -29,7 +29,7 @@ def small_setup(seed=0, frames=9, boundaries=(4,), query_type="avgpool", text_co
 
 def test_make_windows_examples():
     plan = tdc.make_windows(ScenePartition(10, ()), 4)
-    assert [(w.static_frame, w.dynamic_frames) for w in plan.windows] == [
+    assert [(w.static_frame, tuple(w.dynamic_frames)) for w in plan.windows] == [
         (0, (1, 2, 3)),
         (4, (5, 6, 7)),
         (8, (9,)),
@@ -37,7 +37,7 @@ def test_make_windows_examples():
     partition = ScenePartition(10, (3, 7))
     plan = tdc.make_windows(partition, 100)
     assert [w.static_frame for w in plan.windows] == [0, 3, 7]
-    assert plan.partition is partition and plan.frame_count == 10
+    assert plan.partition is partition and plan.length == 100
     plan = tdc.make_windows(ScenePartition(60, ()), 8)
     sizes = [w.frame_count for w in plan.windows]
     assert sizes == [8] * 7 + [4]
@@ -55,24 +55,41 @@ def test_windows_cover_each_frame_once():
     assert sorted(seen) == list(range(23))
 
 
-@pytest.mark.parametrize(
-    "boundaries, windows, message",
-    [
-        ((), [(0, (1, 2))], "cover 3 of the plan's 6 frames"),  # frames 3-5 in no window
-        ((3,), [(0, (1, 2, 3, 4, 5))], "window 0 must be frame 0 and a run of the frames after it before 3"),
-        ((), [], "cover 0 of the plan's 6 frames"),
-        ((), [(0, (1, 3)), (4, (5,))], "window 0 must be frame 0"),  # a gap among the dynamic frames
-        ((3,), [(0, (1, 2)), (4, (5,))], "window 1 must be frame 3"),  # frame 3 in no window
-        ((3,), [(0, (1, 2)), (3, (4, 5)), (6, ())], "window 2 must be frame 6"),  # past the last frame
-    ],
-    ids=["short", "across-cut", "empty", "gap", "missing-static", "past-end"],
-)
-def test_window_plan_must_tile_its_partition(boundaries, windows, message):
-    partition = ScenePartition(6, boundaries)
-    with pytest.raises(ArgumentError, match=message):
-        tdc.WindowPlan(partition, tuple(tdc.Window(s, d) for s, d in windows))
-    # a hand-built plan that tiles each scene is the plan make_windows builds
-    assert tdc.WindowPlan(partition, (tdc.Window(0, (1, 2)), tdc.Window(3, (4, 5)))) == tdc.make_windows(partition, 3)
+@pytest.mark.parametrize("length", [0, -3])
+def test_window_plan_length_must_be_positive(length):
+    partition = ScenePartition(6, (3,))
+    with pytest.raises(ArgumentError, match=f"window length must be >= 1, got {length}"):
+        tdc.WindowPlan(partition, length)
+    assert tdc.WindowPlan(partition, 3) == tdc.make_windows(partition, 3)
+
+
+@st.composite
+def partitions(draw):
+    frames = draw(st.integers(1, 60))
+    cuts = draw(st.sets(st.integers(1, frames - 1), max_size=frames - 1)) if frames > 1 else set()
+    return ScenePartition(frames, tuple(sorted(cuts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition=partitions(), length=st.integers(1, 10))
+def test_window_plan_tiles_each_scene_in_order(partition, length):
+    windows = tdc.WindowPlan(partition, length).windows
+    scene_ends = [stop for _, stop in partition.scenes]
+    start, covered = 0, []
+    for w in windows:
+        # each window starts where the last one stopped, and stops at or before the end of its scene
+        assert w.static_frame == start
+        end = next(e for e in scene_ends if e > start)
+        assert start < w.stop <= end
+        # at most `length` frames; only a scene's last window may have fewer
+        assert w.frame_count <= length and (w.frame_count == length or w.stop == end)
+        assert w.frame_count == 1 + len(w.dynamic_frames)
+        covered += [w.static_frame, *w.dynamic_frames]
+        start = w.stop
+    assert covered == list(range(partition.frame_count))
+    # oracle: a plain loop over each scene's window starts, each window's dynamic frames as a tuple
+    oracle = [(s, tuple(range(s + 1, min(s + length, stop)))) for a, stop in partition.scenes for s in range(a, stop, length)]
+    assert [(w.static_frame, tuple(w.dynamic_frames)) for w in windows] == oracle
 
 
 def test_build_queries_identical_tokens():
