@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -61,6 +61,26 @@ def test_window_plan_length_must_be_positive(length):
     with pytest.raises(ArgumentError, match=f"window length must be >= 1, got {length}"):
         tdc.WindowPlan(partition, length)
     assert tdc.WindowPlan(partition, 3) == tdc.make_windows(partition, 3)
+
+
+def test_window_is_a_run_of_frames():
+    w = tdc.Window(4, 8)
+    assert w.dynamic_frames == range(5, 8) and w.frame_count == 4
+    lone = tdc.Window(3, 4)
+    assert list(lone.dynamic_frames) == [] and lone.frame_count == 1
+    assert [f.name for f in fields(tdc.Window)] == ["static_frame", "stop"]
+
+
+def test_window_plan_is_its_partition_and_length():
+    partition = ScenePartition(10, (3, 7))
+    plan = tdc.WindowPlan(partition, 4)
+    assert [f.name for f in fields(tdc.WindowPlan)] == ["partition", "length"]
+    # the windows are computed once per plan
+    assert plan.windows is plan.windows
+    with pytest.raises(FrozenInstanceError):
+        plan.length = 2
+    assert plan == tdc.WindowPlan(ScenePartition(10, (3, 7)), 4)
+    assert plan != tdc.WindowPlan(partition, 3) and plan != tdc.WindowPlan(ScenePartition(10, (3,)), 4)
 
 
 @st.composite
