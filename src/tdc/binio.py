@@ -43,9 +43,6 @@ class ByteReader:
     def u8(self, what: str = "u8") -> int:
         return self.take(1, what)[0]
 
-    def u16(self, what: str = "u16") -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
     def u32(self, what: str = "u32") -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
@@ -91,14 +88,8 @@ class ByteWriter:
     def __init__(self, f: BinaryIO):
         self._f = f
 
-    def raw(self, data: bytes) -> None:
-        self._f.write(data)
-
     def u8(self, value: int) -> None:
         self._f.write(struct.pack("<B", value))
-
-    def u16(self, value: int) -> None:
-        self._f.write(struct.pack("<H", value))
 
     def u32(self, value: int) -> None:
         self._f.write(struct.pack("<I", value))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qformer
 from .binio import read_container, write_container
-from .errors import ArgumentError, NumericError, ShapeError
+from .errors import ArgumentError, FormatError, NumericError, ShapeError
 from .segmenter import SegmenterConfig, segment_scenes
 from .timeline import InstructionTokens, ScenePartition, VideoTimeline
 
@@ -197,5 +197,10 @@ def read_stream(path) -> tuple[np.ndarray, np.ndarray]:
         count = r.u32("token count")
         dim = r.u32("token dim")
         tokens = r.array((count, dim), "<f4", "token payload")
+        prov_at = r.offset
         prov = r.array((count,), "u1", "provenance payload")
+        bad = np.flatnonzero(prov >= len(Provenance))
+        if bad.size:
+            at = int(bad[0])
+            raise FormatError(f"token {at} has provenance code {prov[at]}, which names no Provenance", prov_at + at)
     return tokens, prov

@@ -66,7 +66,7 @@ class LVCoTConfig:
 @dataclass(frozen=True)
 class LVCoTTrace:
     spans: tuple[tuple[int, int], ...]
-    segment_prompts: tuple[str, ...]
+    segment_prompt: str  # the same prompt goes with every span's stream
     segment_answers: tuple[str, ...]
     final_prompt: str
     final_answer: str
@@ -107,7 +107,7 @@ def run_lvcot(
 
     return LVCoTTrace(
         spans=spans,
-        segment_prompts=(prompt,) * len(spans),
+        segment_prompt=prompt,
         segment_answers=tuple(answers),
         final_prompt=final_prompt,
         final_answer=final_answer,

@@ -39,7 +39,7 @@ from .errors import ArgumentError, FormatError, NumericError, ShapeError
 from .timeline import VOCAB_SIZE, InstructionTokens
 
 PARAMS_MAGIC = b"TDCP"
-PARAMS_VERSION = 1
+PARAMS_VERSION = 2
 GRAD_CHECK_THRESHOLD = 1e-5
 GRAD_CHECK_STEP = 1e-5  # central-difference step
 QUERY_TYPES = ("avgpool", "learned")
@@ -97,7 +97,7 @@ def small_config(**overrides) -> QFormerConfig:
 
 
 def expected_shapes(cfg: QFormerConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical tensor-name -> shape map; fixes init and checkpoint order."""
+    """Canonical tensor-name -> shape map; fixes init order and the checkpoint layout."""
     d, f = cfg.model_dim, cfg.ffn_dim
     shapes: dict[str, tuple[int, ...]] = {
         "visual_proj": (cfg.visual_dim, d),
@@ -605,29 +605,27 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
 
 
 def save_params(params: QFormerParams, path) -> None:
-    """Write a TDCP checkpoint: config header plus named float32 tensors.
+    """Write a TDCP checkpoint: config header, then the float32 tensors in expected_shapes order.
 
-    Raises NumericError, and writes nothing, if a tensor is not finite in float32.
+    Raises ShapeError if the tensors are not the config's names and shapes,
+    NumericError if one is not finite in float32; either way writes nothing.
     """
+    cfg, shapes = params.cfg, expected_shapes(params.cfg)
+    found = {name: np.shape(tensor) for name, tensor in params.tensors.items()}
+    if found != shapes:  # the file records no name or shape that a reader could check
+        name = next(n for n in {**shapes, **found} if found.get(n) != shapes.get(n))
+        raise ShapeError(f"tensor {name!r} is {found.get(name, 'missing')}, the config expects {shapes.get(name, 'none')}")
     with np.errstate(over="ignore"):
-        stored = {name: tensor.astype("<f4") for name, tensor in params.tensors.items()}
+        stored = {name: params[name].astype("<f4") for name in shapes}
     for name, tensor in stored.items():
         if not np.isfinite(tensor).all():
             raise NumericError(f"tensor {name!r} is not finite in float32")
-    cfg = params.cfg
     with write_container(path, PARAMS_MAGIC, PARAMS_VERSION) as w:
         w.u8(QUERY_TYPES.index(cfg.query_type))
         w.u8(int(cfg.text_conditioning))
         for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, VOCAB_SIZE, cfg.visual_dim, cfg.audio_dim):
             w.u32(value)
-        w.u32(len(stored))
-        for name, tensor in stored.items():
-            encoded = name.encode("utf-8")
-            w.u16(len(encoded))
-            w.raw(encoded)
-            w.u8(tensor.ndim)
-            for dim in tensor.shape:
-                w.u32(dim)
+        for tensor in stored.values():
             w.array(tensor, "<f4")
 
 
@@ -667,32 +665,9 @@ def load_params(path) -> QFormerParams:
             )
         except ArgumentError as exc:
             raise FormatError(f"invalid config header: {exc}", header_offset) from exc
-        count = r.u32("tensor count")
-        shapes = expected_shapes(cfg)
-        if count != len(shapes):
-            raise FormatError(f"expected {len(shapes)} tensors, header declares {count}", r.offset - 4)
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name_offset = r.offset
-            name_len = r.u16("tensor name length")
-            name_start = r.offset
-            raw_name = r.take(name_len, "tensor name")
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError("tensor name is not valid UTF-8", name_start + exc.start) from exc
-            if name not in shapes:
-                raise FormatError(f"unexpected tensor {name!r}", name_offset)
-            ndim = r.u8("tensor rank")
-            shape = tuple(r.u32("tensor dim") for _ in range(ndim))
-            if shape != shapes[name]:
-                raise FormatError(
-                    f"tensor {name!r} has shape {shape}, expected {shapes[name]}", name_offset
-                )
-            stored = r.array(shape, "<f4", f"tensor {name!r} payload")
-            # a signalling NaN parses like any NaN instead of setting the invalid flag
-            with np.errstate(invalid="ignore"):
-                tensors[name] = stored.astype(np.float64)
-    if set(tensors) != set(shapes):
-        raise FormatError("duplicate tensor names in checkpoint", r.offset)
-    return QFormerParams(cfg, {name: tensors[name] for name in shapes})
+        with np.errstate(invalid="ignore"):  # a signalling NaN parses like any NaN, setting no invalid flag
+            tensors = {
+                name: r.array(shape, "<f4", f"tensor {name!r}").astype(np.float64)
+                for name, shape in expected_shapes(cfg).items()
+            }
+    return QFormerParams(cfg, tensors)

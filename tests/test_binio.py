@@ -208,7 +208,7 @@ def test_every_container_checks_its_framing(tmp_path, write):
     bad = tmp_path / "bad"
     cases = [
         (b"NOPE" + raw[4:], BadMagicError, "expected magic", 0),
-        (raw[:4] + (2).to_bytes(4, "little") + raw[8:], VersionMismatchError, "version 2", 4),
+        (raw[:4] + (99).to_bytes(4, "little") + raw[8:], VersionMismatchError, "version 99", 4),
         (raw + b"\x00", FormatError, "1 trailing bytes", len(raw)),
     ]
     for data, error, message, offset in cases:
@@ -216,6 +216,17 @@ def test_every_container_checks_its_framing(tmp_path, write):
         with pytest.raises(error, match=message) as err:
             reader(bad)
         assert err.value.offset == offset
+
+
+def test_stream_provenance_code_that_names_no_provenance_is_format_error(tmp_path):
+    path = tmp_path / "s.tdcs"
+    tdc.write_stream(two_token_stream(), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 200  # the last token's provenance byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="token 1 has provenance code 200") as err:
+        tdc.read_stream(path)
+    assert err.value.offset == len(raw) - 1
 
 
 def overflowing_stream(path):

@@ -35,8 +35,8 @@ def _tdcf(path):
 def _tdcp(path):
     cfg = tdc.QFormerConfig(model_dim=2, heads=1, layers=1, queries=1, visual_dim=1, audio_dim=1)
     tdc.save_params(tdc.init_params(cfg), path)
-    # version, then after the two u8 flags the seven dims and the tensor count
-    return tdc.load_params, [4] + [10 + 4 * i for i in range(8)]
+    # version, then after the two u8 flags the seven dims
+    return tdc.load_params, [4] + [10 + 4 * i for i in range(7)]
 
 
 def _tdcs(path):

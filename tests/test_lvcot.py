@@ -74,7 +74,7 @@ def test_golden_trace_with_mock_answerer():
     for tag in ("[0s-30s]: A", "[30s-60s]: B", "[60s-90s]: C"):
         assert tag in trace.final_prompt
     assert "who scores first?" in trace.final_prompt
-    assert all("who scores first?" in p for p in trace.segment_prompts)
+    assert "who scores first?" in trace.segment_prompt
 
 
 def test_trace_is_deterministic():
