@@ -12,18 +12,18 @@ only as self-attention keys and values.  A final layer norm of those K rows
 is the output.  No positional encoding is applied anywhere; key/value
 tokens form a set.
 
-Cross-attention builds no key or value tokens: its key and value weights
-fold into each modality's projection, G = W @ [wk | wv], so per head the
-scores are (q @ Gkᵀ) @ xᵀ and the context (probs @ x) @ Gv on frame tokens x.
-A frame is visual tokens then audio tokens, each with fixed columns of
-[W_v ; W_a]ᵀ.  A modality with 0 tokens takes no branch: it adds no score
-column, and zero columns to probs @ x and to its projection's gradient.
+Cross-attention builds no key or value tokens: per head its weights fold
+into the projections, Gk = wkᵀ @ [W_v ; W_a]ᵀ, Gv likewise and Gvo = Gvᵀ @ wo.
+A frame's tokens x, visual then audio with fixed columns, are scored by the
+factor qs @ Gk into one (m_v + m_a, K·H) buffer, a softmax down each column;
+the context xᵀ @ probs is divided by the column sums and Gvo maps it to the
+output.  A modality with 0 tokens adds no score row and zero context columns.
 
-Only cross-attention reads a frame, so ``build_queries`` builds once what a
-window's frames share: its queries, layer 0's self-attention over [queries ;
-text] and every layer's folded G.  One forward and one analytic backward
-serve a single frame and a stack of frames of a window; each sub-block
-(layer norm, attention) has its forward and backward written once.
+Only cross-attention reads a frame, so ``build_queries`` runs once per window
+what reads none: the queries, layer 0's self-attention over [queries ; text],
+its cross-attention query side and its FFN of the text rows, and every
+layer's folds.  One forward and one backward serve a frame and a stack of a
+window's frames, whose gradients the backward sums where the window's work feeds them.
 """
 
 from __future__ import annotations
@@ -180,45 +180,41 @@ def project(params: QFormerParams, visual, audio) -> np.ndarray:
 # forward / backward internals
 
 
-class _AttnCache(NamedTuple):
-    q_in: np.ndarray
-    kv_in: np.ndarray
+class _SelfCache(NamedTuple):
+    ln: tuple
+    h: np.ndarray  # (..., n, d) the normed rows, of which the first r query all n
     qh: np.ndarray
     kh: np.ndarray
     vh: np.ndarray
-    probs: np.ndarray  # (..., H, n_q, n_kv)
-    merged: np.ndarray  # (..., n_q, d), the heads' context before the output projection
+    probs: np.ndarray  # (..., H, r, n)
+    merged: np.ndarray  # (..., r, d), the heads' context before the output projection
 
 
 class _CrossCache(NamedTuple):
-    q_in: np.ndarray
-    qs: np.ndarray  # (..., H, K, d_h), the query heads scaled by 1/sqrt(d_h)
     v: np.ndarray  # (..., m_v, d_v) visual frame tokens
     a: np.ndarray  # (..., m_a, d_a) audio frame tokens
-    probs: np.ndarray  # (..., H, K, m_v + m_a): each attention row, visual keys then audio keys
-    px: np.ndarray  # (..., H, K, d_v + d_a): [probs_v @ v | probs_a @ a]
-    merged: np.ndarray  # (..., K, d), the heads' context before the output projection
+    e: np.ndarray  # (..., m_v + m_a, K·H) exp-scores, a column per query and head: visual rows, then audio rows
+    sums: np.ndarray  # (..., 1, K·H) the column sums of e
+    ctx: np.ndarray  # (..., K, H·(d_v + d_a)) each query's heads' [probs_v @ v | probs_a @ a], side by side
 
 
 class _LayerCache(NamedTuple):
-    ln1: tuple
-    self_attn: _AttnCache
-    ln2: tuple
+    self_attn: _SelfCache
+    query: tuple  # cross-attention's query side: norm cache, normed rows (..., K, d), heads qs (..., H, K, d_h)
     cross: _CrossCache
-    ln3: tuple
-    h3: np.ndarray
-    u: np.ndarray
-    g: np.ndarray
+    ffn: tuple  # norm cache, normed rows, u = h @ w1 + b1 and gelu(u)
 
 
 class WindowQueries(NamedTuple):  # what every frame of a window shares, from build_queries
     pooled: np.ndarray | None  # (K, d_v) pooled static tokens; None for learned queries
     ids: tuple[int, ...]  # the instruction-text ids, () without text conditioning
-    x: np.ndarray  # (r, d) [queries ; text] rows after layer 0's self-attention (K rows if it is the last)
-    ln1: tuple  # layer 0's self-attention norm cache
-    self_attn: _AttnCache  # layer 0's self-attention cache
+    x: np.ndarray  # (K, d) query rows after layer 0's self-attention; in a deeper model, text rows after layer 0 follow
+    self_attn: _SelfCache  # layer 0's self-attention
+    query: tuple  # layer 0's cross-attention query side
+    f: np.ndarray  # (K·H, d_v + d_a) its score factor qs @ Gk, a row per query and head
+    text_ffn: tuple  # layer 0's FFN of the text rows (of no rows in a 1-layer model)
     w_t: np.ndarray  # (d, d_v + d_a): [W_v ; W_a]ᵀ
-    g: list  # per layer, its folded (Gk, Gv), each (H, d_h, d_v + d_a)
+    g: list  # per layer, its folds Gk, Gv (H, d_h, d_v + d_a) and Gvo (H·(d_v + d_a), d)
 
 
 class _ForwardCache(NamedTuple):
@@ -241,21 +237,14 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def _frame_sum(x: np.ndarray, trailing: int = 2) -> np.ndarray:
+    """A frame's x, or a stack's summed over its frames: the sum over all but x's trailing axes."""
+    return x.sum(axis=tuple(range(x.ndim - trailing)))
+
+
 def _weight_grad(x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
     """Gradient of W in y = x @ W, summed over every row of every frame."""
     return _rows(x).T @ _rows(d_y)
-
-
-def _head_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y (..., H, n, c) @ x (..., c, e), one x for every head: (..., H, n, e)."""
-    *lead, h, n, c = y.shape
-    return (y.reshape(*lead, h * n, c) @ x).reshape(*lead, h, n, x.shape[-1])
-
-
-def _head_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per head, xᵀ @ y summed over every frame: (H, c, e) from x (..., H, n, c) and y (..., H, n, e)."""
-    g = x.swapaxes(-1, -2) @ y
-    return g.reshape(-1, *g.shape[-3:]).sum(axis=0)
 
 
 def _norm(x, t, prefix):
@@ -271,107 +260,155 @@ def _norm_backward(d_y, cache, t, prefix, grads):
     return d_x
 
 
-def _attn_forward(q_in, kv_in, t, prefix, heads):
-    """Attention ``prefix`` of the q_in rows over the kv_in rows: (output, cache)."""
-    qh = _split_heads(q_in @ t[prefix + ".wq"], heads)
-    kh = _split_heads(kv_in @ t[prefix + ".wk"], heads)
-    vh = _split_heads(kv_in @ t[prefix + ".wv"], heads)
+def _self_forward(x, r, t, prefix, heads):
+    """Self-attention block ``prefix`` of the first r rows over all rows x: (rows out, cache)."""
+    h, ln = _norm(x, t, prefix + "self_norm")
+    w = {name: t[prefix + "self." + name] for name in ("wq", "wk", "wv", "wo")}
+    qh, kh, vh = (_split_heads(y, heads) for y in (h[..., :r, :] @ w["wq"], h @ w["wk"], h @ w["wv"]))
     probs = kernels.softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1]))
     merged = _merge_heads(probs @ vh)
-    return merged @ t[prefix + ".wo"], _AttnCache(q_in, kv_in, qh, kh, vh, probs, merged)
+    return x[..., :r, :] + merged @ w["wo"], _SelfCache(ln, h, qh, kh, vh, probs, merged)
 
 
-def _attn_backward(d_out, cache: _AttnCache, t, prefix, grads):
-    """Input gradients (d_q_in, d_kv_in) of attention ``prefix``; adds its weight gradients into grads."""
-    d_ctx = _split_heads(d_out @ t[prefix + ".wo"].T, cache.qh.shape[-3])
-    d_probs = d_ctx @ cache.vh.swapaxes(-1, -2)
-    d_scores = cache.probs * (d_probs - (d_probs * cache.probs).sum(axis=-1, keepdims=True))
-    d_scores *= 1.0 / np.sqrt(cache.qh.shape[-1])
-    d_qf = _merge_heads(d_scores @ cache.kh)
-    d_kf = _merge_heads(d_scores.swapaxes(-1, -2) @ cache.qh)
-    d_vf = _merge_heads(cache.probs.swapaxes(-1, -2) @ d_ctx)
-    grads[prefix + ".wq"] += _weight_grad(cache.q_in, d_qf)
-    grads[prefix + ".wk"] += _weight_grad(cache.kv_in, d_kf)
-    grads[prefix + ".wv"] += _weight_grad(cache.kv_in, d_vf)
-    grads[prefix + ".wo"] += _weight_grad(cache.merged, d_out)
-    return d_qf @ t[prefix + ".wq"].T, d_kf @ t[prefix + ".wk"].T + d_vf @ t[prefix + ".wv"].T
+def _self_backward(d_y, cache: _SelfCache, t, prefix, grads):
+    """Input gradient of self-attention block ``prefix``; adds its weight gradients into grads."""
+    ln, h, qh, kh, vh, probs, merged = cache
+    w = {name: t[prefix + "self." + name] for name in ("wq", "wk", "wv", "wo")}
+    r = qh.shape[-2]
+    d_ctx = _split_heads(d_y @ w["wo"].T, qh.shape[-3])
+    d_probs = d_ctx @ vh.swapaxes(-1, -2)
+    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+    d_scores *= 1.0 / np.sqrt(qh.shape[-1])
+    d_qf = _merge_heads(d_scores @ kh)
+    d_kf = _merge_heads(d_scores.swapaxes(-1, -2) @ qh)
+    d_vf = _merge_heads(probs.swapaxes(-1, -2) @ d_ctx)
+    for name, x, d in (("wq", h[..., :r, :], d_qf), ("wk", h, d_kf), ("wv", h, d_vf), ("wo", merged, d_y)):
+        grads[prefix + "self." + name] += _weight_grad(x, d)
+    d_h = d_kf @ w["wk"].T + d_vf @ w["wv"].T
+    d_h[..., :r, :] += d_qf @ w["wq"].T
+    d_x = _norm_backward(d_h, ln, t, prefix + "self_norm", grads)
+    d_x[..., :r, :] += d_y
+    return d_x
 
 
-def _halves(y, n):
-    """y's last axis split after its first n entries: (visual half, audio half)."""
-    return y[..., :n], y[..., n:]
+def _ffn_forward(x, t, prefix):
+    """FFN block ``prefix`` of the rows x: (rows out, cache)."""
+    h, ln = _norm(x, t, prefix + "ffn_norm")
+    u = h @ t[prefix + "ffn.w1"] + t[prefix + "ffn.b1"]
+    g = kernels.gelu(u)
+    return x + g @ t[prefix + "ffn.w2"] + t[prefix + "ffn.b2"], (ln, h, u, g)
 
 
-def _cross_forward(q_in, v, a, g, t, prefix, heads):
-    """Cross-attention ``prefix`` of the K query rows q_in over a frame's visual
-    tokens v and audio tokens a: (output, cache).  Its key and value weights come
-    folded into the projections as g = (Gk, Gv), so no key or value token is built."""
-    qh = _split_heads(q_in @ t[prefix + ".wq"], heads)
-    qs = qh * (1.0 / np.sqrt(qh.shape[-1]))
-    gk, gv = g
-    scores = [_head_rows(s, x.swapaxes(-1, -2)) for s, x in zip(_halves(qs @ gk, v.shape[-1]), (v, a))]
-    probs = kernels.softmax_rows(np.concatenate(scores, axis=-1))
-    px = np.concatenate([_head_rows(p, x) for p, x in zip(_halves(probs, v.shape[-2]), (v, a))], axis=-1)
-    merged = _merge_heads(px @ gv.swapaxes(-1, -2))
-    return merged @ t[prefix + ".wo"], _CrossCache(q_in, qs, v, a, probs, px, merged)
+def _ffn_backward(d_y, cache, t, prefix, grads):
+    """Input gradient of FFN block ``prefix``, residual included; adds its weight gradients into grads."""
+    ln, h, u, g = cache
+    grads[prefix + "ffn.w2"] += _weight_grad(g, d_y)
+    grads[prefix + "ffn.b2"] += _rows(d_y).sum(axis=0)
+    d_u = (d_y @ t[prefix + "ffn.w2"].T) * kernels.gelu_grad(u)
+    grads[prefix + "ffn.w1"] += _weight_grad(h, d_u)
+    grads[prefix + "ffn.b1"] += _rows(d_u).sum(axis=0)
+    return d_y + _norm_backward(d_u @ t[prefix + "ffn.w1"].T, ln, t, prefix + "ffn_norm", grads)
 
 
-def _cross_backward(d_out, cache: _CrossCache, w_t, g, t, prefix, grads):
-    """Gradient of the query rows of cross-attention ``prefix``; adds its weight and
-    projection gradients into grads, chained through g = (Gk, Gv) folded from w_t."""
-    qs, v, a = cache.qs, cache.v, cache.a
-    gk, gv = g
-    grads[prefix + ".wo"] += _weight_grad(cache.merged, d_out)
-    d_ctx = _split_heads(d_out @ t[prefix + ".wo"].T, qs.shape[-3])
-    d_px = d_ctx @ gv
-    # each softmax row spans both modalities: sum(d_probs * probs) = sum(d_px * px)
-    dot = (d_px * cache.px).sum(axis=-1, keepdims=True)
-    # d_s: the gradient of s = qs @ Gk, whose halves score the visual and the audio tokens
-    halves = zip((v, a), _halves(cache.probs, v.shape[-2]), _halves(d_px, v.shape[-1]))
-    d_s = np.concatenate([_head_rows(p * (_head_rows(d, x.swapaxes(-1, -2)) - dot), x) for x, p, d in halves], axis=-1)
-    d_w_t = 0.0
-    for w, d_g in ((".wk", _head_grad(qs, d_s)), (".wv", _head_grad(d_ctx, cache.px))):
-        d_g = d_g.reshape(-1, d_g.shape[-1])  # gradient of (W @ w)ᵀ = wᵀ @ w_t
-        grads[prefix + w] += w_t @ d_g.T
-        d_w_t = d_w_t + t[prefix + w] @ d_g
-    for proj, d_w in zip(("visual_proj", "audio_proj"), _halves(d_w_t, v.shape[-1])):
-        grads[proj] += d_w.T
-    d_qf = _merge_heads(d_s @ gk.swapaxes(-1, -2)) * (1.0 / np.sqrt(qs.shape[-1]))
-    grads[prefix + ".wq"] += _weight_grad(cache.q_in, d_qf)
-    return d_qf @ t[prefix + ".wq"].T
+def _fold_backward(d_g, w_t, t, name, grads):
+    """Adds the gradients of weight ``name`` and of the projections, given d_g (H, d_h, c), that of its fold wᵀ @ w_t."""
+    d_g = d_g.reshape(-1, d_g.shape[-1])
+    grads[name] += w_t @ d_g.T
+    d_w = (t[name] @ d_g).T
+    grads["visual_proj"] += d_w[: len(grads["visual_proj"])]
+    grads["audio_proj"] += d_w[len(grads["visual_proj"]) :]
 
 
-def _self_forward(x, r, t, prefix, heads):
-    """Self-attention block ``prefix`` of the first r rows over all rows x: (rows out, norm cache, attention cache)."""
-    h1, ln1 = _norm(x, t, prefix + "self_norm")
-    sa, self_cache = _attn_forward(h1[..., :r, :], h1, t, prefix + "self", heads)
-    return x[..., :r, :] + sa, ln1, self_cache
+def _query_forward(x, gk, t, prefix, heads):
+    """Cross-attention ``prefix``'s query side of the K rows x: (score factor qs @ Gk (..., K·H, c), cache)."""
+    h, ln = _norm(x, t, prefix + "cross_norm")
+    qs = _split_heads(h @ t[prefix + "cross.wq"], heads) * (1.0 / np.sqrt(gk.shape[-2]))
+    f = (qs @ gk).swapaxes(-3, -2)
+    return f.reshape(*f.shape[:-3], -1, f.shape[-1]), (ln, h, qs)
+
+
+def _query_backward(d_f, cache, w_t, gk, t, prefix, grads):
+    """Input gradient of cross-attention ``prefix``'s query side, given d_f, that of its score factor."""
+    ln, h, qs = cache
+    d_f = d_f.reshape(*d_f.shape[:-2], qs.shape[-2], qs.shape[-3], -1).swapaxes(-3, -2)
+    _fold_backward(_frame_sum(qs.swapaxes(-1, -2) @ d_f, 3), w_t, t, prefix + "cross.wk", grads)
+    d_qf = _merge_heads(d_f @ gk.swapaxes(-1, -2)) * (1.0 / np.sqrt(qs.shape[-1]))
+    grads[prefix + "cross.wq"] += _weight_grad(h, d_qf)
+    return _norm_backward(d_qf @ t[prefix + "cross.wq"].T, ln, t, prefix + "cross_norm", grads)
+
+
+def _blocks(x_v, x_a, f):
+    """[x_v @ f_vᵀ ; x_a @ f_aᵀ], f's columns split after x_v's, each block into its rows of one buffer: from
+    frame tokens v, a and f (..., n, d_v + d_a) the scores (..., m_v + m_a, n); from vᵀ, aᵀ and scores sᵀ the
+    token sums [vᵀ @ s_v ; aᵀ @ s_a] (..., d_v + d_a, n)."""
+    w, m = x_v.shape[-1], x_v.shape[-2]
+    out = np.empty((*x_v.shape[:-2], m + x_a.shape[-2], f.shape[-2]))
+    np.matmul(x_v, f[..., :w].swapaxes(-1, -2), out=out[..., :m, :])
+    np.matmul(x_a, f[..., w:].swapaxes(-1, -2), out=out[..., m:, :])
+    return out
+
+
+def _cross_forward(f, v, a, gvo):
+    """Cross-attention of the query rows with score factor f over a frame's tokens v, a: (output, cache).
+    Each softmax runs down a column of the scores; its division waits for the (c, K·H) context."""
+    e = _blocks(v, a, f)
+    e -= e.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    sums = np.ones((1, e.shape[-2])) @ e  # the column sums, as a matmul: a reduction down columns is slower
+    ctx = _blocks(v.swapaxes(-1, -2), a.swapaxes(-1, -2), e.swapaxes(-1, -2))
+    ctx /= sums
+    ctx = ctx.swapaxes(-1, -2).reshape(*ctx.shape[:-2], -1, len(gvo))
+    return ctx @ gvo, _CrossCache(v, a, e, sums, ctx)
+
+
+def _cross_backward(d_y, cache: _CrossCache, w_t, g, t, prefix, grads):
+    """Gradient of cross-attention ``prefix``'s score factor; adds those of wo, wv and the projections into grads."""
+    v, a, e, sums, ctx = cache
+    _, gv, gvo = g
+    d_gvo = _weight_grad(ctx, d_y).reshape(len(gv), -1, d_y.shape[-1])
+    grads[prefix + "cross.wo"] += (gv @ d_gvo).reshape(-1, d_y.shape[-1])
+    d_gv = t[prefix + "cross.wo"].reshape(len(gv), -1, d_y.shape[-1]) @ d_gvo.swapaxes(-1, -2)
+    _fold_backward(d_gv, w_t, t, prefix + "cross.wv", grads)
+    # per column, with probs = e / sums: d_s = probs * (d_probs - sum(d_probs * probs)), sum(d_probs * probs) = d_ctx . ctx
+    inv = 1.0 / sums.swapaxes(-1, -2)
+    d_ctx = (d_y @ gvo.T).reshape(*e.shape[:-2], -1, gv.shape[-1])
+    dot = (d_ctx * ctx.reshape(d_ctx.shape)).sum(axis=-1, keepdims=True)
+    d_s = _blocks(v, a, d_ctx * inv)
+    d_s -= (dot * inv).swapaxes(-1, -2)
+    d_s *= e
+    return _blocks(v.swapaxes(-1, -2), a.swapaxes(-1, -2), d_s.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def build_queries(params: QFormerParams, static_visual, text=None) -> WindowQueries:
     """What every frame of one window shares.  avgpool mode pools the static
     frame's visual tokens, static_visual (m_s, d_v), into K groups projected by
-    W_v; learned mode takes ``learned_queries``.  No frame enters before layer
-    0's cross-attention, so layer 0's self-attention over [queries ; text] and
-    each layer's fold of its cross-attention key and value weights run here."""
+    W_v; learned mode takes ``learned_queries``.  Only cross-attention reads a
+    frame, so everything before it runs here: layer 0's self-attention over
+    [queries ; text], its cross-attention query side and its FFN of the text
+    rows, and each layer's folds of its cross-attention weights."""
     cfg = params.cfg
     t = params.tensors
+    k, heads, d = cfg.queries, cfg.heads, cfg.model_dim
     q, pooled = t["learned_queries"], None
     if cfg.query_type == "avgpool":
         static = np.asarray(static_visual, dtype=np.float64)
         if static.ndim != 2 or static.shape[1] != cfg.visual_dim:
             raise ShapeError(f"static visual tokens {static.shape} are not (m, {cfg.visual_dim})")
         # pool_matrix rejects fewer static tokens than queries
-        pooled = kernels.pool_matrix(static.shape[0], cfg.queries) @ static
+        pooled = kernels.pool_matrix(static.shape[0], k) @ static
         q = pooled @ t["visual_proj"]
     ids = tuple(text.ids) if cfg.text_conditioning and text is not None else ()
     rows = np.vstack([q, t["text_embed"][np.asarray(ids, dtype=np.intp)]])
     # only the query rows reach the output, so the last layer computes those alone
-    x, ln1, self_cache = _self_forward(rows, cfg.queries if cfg.layers == 1 else len(rows), t, "layers.0.", cfg.heads)
+    x, self_cache = _self_forward(rows, k if cfg.layers == 1 else len(rows), t, "layers.0.", heads)
     w_t = np.concatenate([t["visual_proj"], t["audio_proj"]]).T
-    g = [[(t[f"layers.{i}.cross.{w}"].T @ w_t).reshape(cfg.heads, -1, w_t.shape[-1]) for w in ("wk", "wv")]
-         for i in range(cfg.layers)]
-    return WindowQueries(pooled, ids, x, ln1, self_cache, w_t, g)
+    g = []
+    for i in range(cfg.layers):
+        gk, gv = ((t[f"layers.{i}.cross.{w}"].T @ w_t).reshape(heads, -1, w_t.shape[-1]) for w in ("wk", "wv"))
+        g.append((gk, gv, (gv.swapaxes(-1, -2) @ t[f"layers.{i}.cross.wo"].reshape(heads, -1, d)).reshape(-1, d)))
+    f, query = _query_forward(x[:k], g[0][0], t, "layers.0.", heads)
+    x[k:], text_ffn = _ffn_forward(x[k:], t, "layers.0.")  # no rows in a 1-layer model
+    return WindowQueries(pooled, ids, x, self_cache, query, f, text_ffn, w_t, g)
 
 
 def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return_cache=False):
@@ -380,8 +417,8 @@ def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return
     (F, K, d).
 
     ``queries`` is the window's ``build_queries``: each frame starts from its
-    rows at layer 0's cross-attention.  With ``return_cache`` the result is
-    (output, cache) for ``backward``.
+    rows and score factor at layer 0's cross-attention.  With
+    ``return_cache`` the result is (output, cache) for ``backward``.
     """
     cfg = params.cfg
     t = params.tensors
@@ -389,26 +426,21 @@ def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return
     if v.shape[-2] + a.shape[-2] == 0:
         raise ShapeError("cross-attention needs at least one visual or audio token")
     k = cfg.queries
-    # layer 0's self-attention ran once for the window; each frame starts at its cross-attention
-    x, ln1, self_cache = queries.x, queries.ln1, queries.self_attn
-    x = np.broadcast_to(x, v.shape[:-2] + x.shape).copy()
+    x = np.empty(v.shape[:-2] + queries.x.shape)
+    x[...] = queries.x
+    self_cache, query, f = queries.self_attn, queries.query, queries.f
 
     layer_caches: list[_LayerCache] = []
     for i in range(cfg.layers):
         p = f"layers.{i}."
         if i:
-            x, ln1, self_cache = _self_forward(x, k if i == cfg.layers - 1 else x.shape[-2], t, p, cfg.heads)
-
-        h2, ln2 = _norm(x[..., :k, :], t, p + "cross_norm")
-        ca, cross_cache = _cross_forward(h2, v, a, queries.g[i], t, p + "cross", cfg.heads)
+            x, self_cache = _self_forward(x, k if i == cfg.layers - 1 else x.shape[-2], t, p, cfg.heads)
+            f, query = _query_forward(x[..., :k, :], queries.g[i][0], t, p, cfg.heads)
+        ca, cross = _cross_forward(f, v, a, queries.g[i][2])
         x[..., :k, :] += ca
-
-        h3, ln3 = _norm(x, t, p + "ffn_norm")
-        u = h3 @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
-        g = kernels.gelu(u)
-        x = x + g @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
-
-        layer_caches.append(_LayerCache(ln1, self_cache, ln2, cross_cache, ln3, h3, u, g))
+        n = x.shape[-2] if i else k  # the text rows ran layer 0's FFN in build_queries
+        x[..., :n, :], ffn = _ffn_forward(x[..., :n, :], t, p)
+        layer_caches.append(_LayerCache(self_cache, query, cross, ffn))
 
     out, final_ln = _norm(x, t, "final_norm")
     if return_cache:
@@ -434,32 +466,16 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
     d_x = _norm_backward(up, cache.final_ln, t, "final_norm", grads)
 
-    for i in reversed(range(cfg.layers)):
+    for i, lc in reversed(list(enumerate(cache.layers))):
         p = f"layers.{i}."
-        lc = cache.layers[i]
-
-        # FFN block
-        grads[p + "ffn.w2"] += _weight_grad(lc.g, d_x)
-        grads[p + "ffn.b2"] += _rows(d_x).sum(axis=0)
-        d_u = (d_x @ t[p + "ffn.w2"].T) * kernels.gelu_grad(lc.u)
-        grads[p + "ffn.w1"] += _weight_grad(lc.h3, d_u)
-        grads[p + "ffn.b1"] += _rows(d_u).sum(axis=0)
-        d_x = d_x + _norm_backward(d_u @ t[p + "ffn.w1"].T, lc.ln3, t, p + "ffn_norm", grads)
-
-        # cross-attention block (query rows only)
-        d_q_in = _cross_backward(d_x[..., :k, :], lc.cross, queries.w_t, queries.g[i], t, p + "cross", grads)
-        d_x[..., :k, :] += _norm_backward(d_q_in, lc.ln2, t, p + "cross_norm", grads)
-
-        if i == 0:
-            # every frame starts from the window's rows after layer 0's self-attention
-            d_x = d_x.reshape(-1, *d_x.shape[-2:]).sum(axis=0)
-        # self-attention block: q_in is the first r rows of kv_in (all but in the last layer)
-        d_q_in, d_kv_in = _attn_backward(d_x, lc.self_attn, t, p + "self", grads)
-        r = d_q_in.shape[-2]
-        d_kv_in[..., :r, :] += d_q_in
-        d_x1 = _norm_backward(d_kv_in, lc.ln1, t, p + "self_norm", grads)
-        d_x1[..., :r, :] += d_x
-        d_x = d_x1
+        n = d_x.shape[-2] if i else k
+        d_x[..., :n, :] = _ffn_backward(d_x[..., :n, :], lc.ffn, t, p, grads)
+        d_f = _cross_backward(d_x[..., :k, :], lc.cross, queries.w_t, queries.g[i], t, p, grads)
+        if i == 0:  # the window's rows and score factor are every frame's
+            d_x, d_f = _frame_sum(d_x), _frame_sum(d_f)
+            d_x[k:] = _ffn_backward(d_x[k:], queries.text_ffn, t, p, grads)
+        d_x[..., :k, :] += _query_backward(d_f, lc.query, queries.w_t, queries.g[i][0], t, p, grads)
+        d_x = _self_backward(d_x, lc.self_attn, t, p, grads)
 
     np.add.at(grads["text_embed"], np.asarray(queries.ids, dtype=np.intp), d_x[k:])
     if queries.pooled is None:

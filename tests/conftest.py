@@ -10,6 +10,11 @@ import tdc
 SIGNALLING_NAN = np.array([0x7FA00000], dtype=np.uint32).view(np.float32)[0]
 
 
+# the edges of a window's and a frame's shapes: an empty instruction (0 text
+# rows even with text conditioning on), one query, one head, one visual token
+EDGES = ["base", "empty-text", "one-query", "one-head", "one-visual-token"]
+
+
 def random_timeline(rng, frames, visual_tokens=6, audio_tokens=4, dim=8):
     """Small random timeline for format and oracle tests."""
     return tdc.VideoTimeline(
@@ -30,6 +35,14 @@ def split_heads(x, heads):
     """(..., n, d) rows as (..., heads, n, d // heads): each head's slice of the columns."""
     *lead, n, d = x.shape
     return np.moveaxis(x.reshape(*lead, n, heads, d // heads), -2, -3)
+
+
+def head_contexts(cache, layer):
+    """Each head's cross-attention context in ``layer`` of a forward cache, (H, K, d_h):
+    the context over frame tokens, mapped through the head's folded value weights."""
+    gv = cache.queries.g[layer][1]
+    ctx = cache.layers[layer].cross.ctx
+    return ctx.reshape(*ctx.shape[:-1], len(gv), -1).swapaxes(-3, -2) @ gv.swapaxes(-1, -2)
 
 
 def brute_force_cuts(similarities, tau, max_scenes):

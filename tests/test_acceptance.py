@@ -16,7 +16,7 @@ from tdc.errors import BadMagicError, TruncatedPayloadError
 from tdc.segmenter import ScenePartition
 from tdc.timeline import AUDIO_TOKENS_PER_FRAME, VISUAL_TOKENS_PER_FRAME
 
-from conftest import brute_force_cuts, random_timeline, split_heads, walk_stream_counts, with_queries
+from conftest import brute_force_cuts, head_contexts, random_timeline, split_heads, walk_stream_counts, with_queries
 
 
 @contextmanager
@@ -172,9 +172,9 @@ def test_criterion_06_attention_properties():
             # convex hull per head, every layer
             _, cache = tdc.forward(queried, tdc.build_queries(queried, None), v, a, return_cache=True)
             kv = qformer.project(queried, v, a)
-            for i, lc in enumerate(cache.layers):
+            for i in range(len(cache.layers)):
                 vh = split_heads(kv @ queried[f"layers.{i}.cross.wv"], cfg.heads)
-                ctx = split_heads(lc.cross.merged, cfg.heads)
+                ctx = head_contexts(cache, i)
                 assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
                 assert (ctx >= vh.min(axis=1, keepdims=True) - 1e-9).all()
 

@@ -147,7 +147,7 @@ def test_build_queries_learned_ignores_static():
     # the rows that layer 0's self-attention normalises are the learned queries
     t = params.tensors
     _, ln1 = kernels.layer_norm(t["learned_queries"], t["layers.0.self_norm.gamma"], t["layers.0.self_norm.beta"])
-    np.testing.assert_array_equal(q1.ln1[0], ln1[0])
+    np.testing.assert_array_equal(q1.self_attn.ln[0], ln1[0])
     # so forward ignores the static frame too
     v, a = rng.standard_normal((6, 8)), rng.standard_normal((4, 8))
     np.testing.assert_array_equal(tdc.forward(params, q1, v, a), tdc.forward(params, q2, v, a))

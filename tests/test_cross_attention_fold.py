@@ -1,8 +1,10 @@
 """The folded cross-attention against the unfolded reference forward.
 
 ``forward`` never builds cross-attention keys or values: ``build_queries``
-folds the key and value weights into each modality's projection, once per
-window, and runs layer 0's self-attention there too.  The reference below is
+folds the key, value and output weights into each modality's projection,
+once per window, and runs there too what reads no frame: layer 0's
+self-attention, its cross-attention query side and its FFN of the text
+rows.  Each frame scores its tokens into one buffer.  The reference below is
 the forward written the direct way, one function from the static frame to the
 output: it pools the queries itself, projects every frame token into model
 space and then through wk and wv, and computes every [query; text] row in
@@ -15,7 +17,7 @@ import pytest
 import tdc
 from tdc import kernels, qformer
 
-from conftest import split_heads
+from conftest import EDGES, split_heads
 
 
 def merge_heads(x):
@@ -60,16 +62,18 @@ def unfolded_forward(params, static, visual, audio, text=None):
 @pytest.mark.parametrize("query_type", qformer.QUERY_TYPES)
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_folded_forward_matches_unfolded_reference(layers, query_type, text_conditioning, audio_tokens, frames):
-    cfg = tdc.QFormerConfig(
-        model_dim=16, heads=4, layers=layers, queries=3, query_type=query_type,
-        text_conditioning=text_conditioning, visual_dim=6, audio_dim=5, seed=layers,
-    )
-    params = tdc.init_params(cfg)
-    rng = np.random.default_rng(layers)
-    static = rng.standard_normal((7, cfg.visual_dim))
-    visual = rng.standard_normal(frames + (8, cfg.visual_dim))
-    audio = rng.standard_normal(frames + (audio_tokens, cfg.audio_dim))
-    text = tdc.tokenize_text("where does the dog run")
-    out = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio)
-    assert out.shape == frames + (cfg.queries, cfg.model_dim)
-    np.testing.assert_allclose(out, unfolded_forward(params, static, visual, audio, text), rtol=0, atol=1e-12)
+    for edge in EDGES:
+        cfg = tdc.QFormerConfig(
+            model_dim=16, heads=1 if edge == "one-head" else 4, layers=layers, queries=1 if edge == "one-query" else 3,
+            query_type=query_type, text_conditioning=text_conditioning, visual_dim=6, audio_dim=5, seed=layers,
+        )
+        params = tdc.init_params(cfg)
+        rng = np.random.default_rng(layers)
+        static = rng.standard_normal((7, cfg.visual_dim))
+        visual = rng.standard_normal(frames + (1 if edge == "one-visual-token" else 8, cfg.visual_dim))
+        audio = rng.standard_normal(frames + (audio_tokens, cfg.audio_dim))
+        text = tdc.tokenize_text("" if edge == "empty-text" else "where does the dog run")
+        out = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio)
+        assert out.shape == frames + (cfg.queries, cfg.model_dim), edge
+        expected = unfolded_forward(params, static, visual, audio, text)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=edge)

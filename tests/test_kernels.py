@@ -79,6 +79,29 @@ def test_layer_norm_and_grad_are_the_mean_formula(shape):
     np.testing.assert_array_equal(kernels.layer_norm_grad(dy, cache, gamma)[0], d_x)
 
 
+@pytest.mark.parametrize("shape", [(27, 256), (7, 16, 256)], ids=["rows", "stack"])
+def test_gelu_and_layer_norm_in_one_buffer_are_their_formulas_and_leave_read_only_inputs(shape):
+    # each kernel computes in place in the arrays it allocates: the bits of the
+    # formula written out, and a write to an input would raise
+    rng = np.random.default_rng(6)
+    x = rng.normal(scale=2.0, size=shape)
+    gamma, beta = rng.standard_normal((2, shape[-1]))
+    for a in (x, gamma, beta):
+        a.setflags(write=False)
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + k * (x * x * x)))
+    np.testing.assert_array_equal(kernels.gelu(x), 0.5 * x * (1.0 + t))
+    np.testing.assert_array_equal(kernels.gelu_grad(x), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * k * x * x))
+    d = shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + kernels.LN_EPS)
+    xhat = centered * inv
+    out, cache = kernels.layer_norm(x, gamma, beta)
+    np.testing.assert_array_equal(out, xhat * gamma + beta)
+    np.testing.assert_array_equal(cache[0], xhat)
+    np.testing.assert_array_equal(cache[1], inv)
+
+
 def test_layer_norm_length_mismatch():
     with pytest.raises(ShapeError):
         kernels.layer_norm(np.zeros((2, 3)), np.ones(2), np.zeros(3))

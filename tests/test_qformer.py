@@ -5,7 +5,7 @@ import tdc
 from tdc import kernels, qformer
 from tdc.errors import ArgumentError, FormatError, NumericError, ShapeError, TruncatedPayloadError
 
-from conftest import SIGNALLING_NAN, split_heads, with_queries
+from conftest import EDGES, SIGNALLING_NAN, head_contexts, split_heads, with_queries
 
 
 def tiny_config(**overrides):
@@ -149,10 +149,10 @@ def test_convex_hull_of_cross_attention_heads(default_params):
     a = rng.standard_normal((5, cfg.audio_dim))
     _, cache = tdc.forward(params, tdc.build_queries(params, None), v, a, return_cache=True)
     kv = qformer.project(params, v, a)
-    for i, lc in enumerate(cache.layers):
+    for i in range(len(cache.layers)):
         # each head's values, and its context before the output projection
         vh = split_heads(kv @ params[f"layers.{i}.cross.wv"], cfg.heads)
-        ctx = split_heads(lc.cross.merged, cfg.heads)
+        ctx = head_contexts(cache, i)
         assert (ctx <= vh.max(axis=1, keepdims=True) + 1e-9).all()
         assert (ctx >= vh.min(axis=1, keepdims=True) - 1e-9).all()
 
@@ -248,15 +248,20 @@ def test_frame_stack_matches_single_frames(query_type):
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_frame_stack_rows_equal_single_frames_bitwise(layers, query_type, text_conditioning, audio_tokens):
     # a window's frames give the same numbers one at a time as in one stack
-    cfg = tiny_config(layers=layers, query_type=query_type, text_conditioning=text_conditioning)
-    params = tdc.init_params(cfg)
-    rng = np.random.default_rng(layers)
-    queries = tdc.build_queries(params, rng.standard_normal((5, cfg.visual_dim)), tdc.tokenize_text("where is it"))
-    v = rng.standard_normal((4, 6, cfg.visual_dim))
-    a = rng.standard_normal((4, audio_tokens, cfg.audio_dim))
-    stacked = tdc.forward(params, queries, v, a)
-    for f in range(4):
-        np.testing.assert_array_equal(tdc.forward(params, queries, v[f], a[f]), stacked[f])
+    for edge in EDGES:
+        cfg = tiny_config(
+            layers=layers, query_type=query_type, text_conditioning=text_conditioning,
+            heads=1 if edge == "one-head" else 2, queries=1 if edge == "one-query" else 2,
+        )
+        params = tdc.init_params(cfg)
+        rng = np.random.default_rng(layers)
+        text = tdc.tokenize_text("" if edge == "empty-text" else "where is it")
+        queries = tdc.build_queries(params, rng.standard_normal((5, cfg.visual_dim)), text)
+        v = rng.standard_normal((4, 1 if edge == "one-visual-token" else 6, cfg.visual_dim))
+        a = rng.standard_normal((4, audio_tokens, cfg.audio_dim))
+        stacked = tdc.forward(params, queries, v, a)
+        for f in range(4):
+            np.testing.assert_array_equal(tdc.forward(params, queries, v[f], a[f]), stacked[f], err_msg=edge)
 
 
 def test_grad_check_passes_and_is_deterministic():
@@ -275,6 +280,16 @@ def test_grad_check_full_row_layer_feeds_trimmed_last_layer():
     # rows; criterion 05's one-layer configs never chain the two
     cfg = qformer.small_config(layers=2, model_dim=8, query_type="avgpool")
     report = tdc.grad_check(cfg, seed=3)
+    assert report.max_relative_error <= 1e-5, report.per_tensor
+
+
+@pytest.mark.parametrize("query_type", qformer.QUERY_TYPES)
+def test_grad_check_layer_between_first_and_last(query_type):
+    # layer 1 computes every row and is not the last: the text rows, which ran
+    # layer 0's FFN once for the window, join each frame's rows there
+    cfg = qformer.small_config(layers=3, model_dim=8, query_type=query_type)
+    assert cfg.text_conditioning
+    report = tdc.grad_check(cfg, seed=4)
     assert report.max_relative_error <= 1e-5, report.per_tensor
 
 
