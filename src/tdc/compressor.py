@@ -10,6 +10,8 @@ compressed tokens per dynamic frame in frame order.  Windows follow
 timeline order; no separator is inserted between windows.  A window builds
 its queries once and compresses each dynamic frame with one
 ``qformer.forward``; a window without dynamic frames builds none.
+The stream is one buffer sized from the plan, which each block is written
+into as it is made; ``write_stream`` writes it in row chunks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .timeline import InstructionTokens, ScenePartition, VideoTimeline
 STREAM_MAGIC = b"TDCS"
 STREAM_VERSION = 1
 DEFAULT_WINDOW = 8
+CHUNK_ROWS = 1024  # token rows checked, cast and written at a time
+FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to float32 inf
 
 
 class Provenance(IntEnum):
@@ -50,6 +54,10 @@ class Window:
     @property
     def frame_count(self) -> int:
         return self.stop - self.static_frame
+
+    def rows(self, m: int, k: int) -> int:
+        """Stream rows: the static frame's m visual and audio tokens, one separator, K per dynamic frame."""
+        return m + 1 + (self.frame_count - 1) * k
 
 
 @dataclass(frozen=True)
@@ -116,78 +124,83 @@ def assemble_tdc(
     params: qformer.QFormerParams,
     text: InstructionTokens | None = None,
 ) -> TDCStream:
-    """Build the full compressed stream for a planned timeline.
+    """Build the full compressed stream for a planned timeline, in one buffer of
+    the plan's row count into which each block is written as it is made.
 
-    Raises NumericError, naming the first frame, if any token is not finite.
+    Raises ShapeError, naming the window, if its blocks do not fill its planned
+    rows, and NumericError, naming the first frame, if any token is not finite.
     """
     if plan.partition.frame_count != tl.frame_count:
         raise ShapeError(f"plan covers {plan.partition.frame_count} frames, timeline has {tl.frame_count}")
     # float32 frames: project and forward convert what they read
     visual, audio = tl.visual_tokens, tl.audio_tokens
-    m_v = visual.shape[1]
-    sep = params["sep"]
-
-    blocks: list[np.ndarray] = []
-    runs: list[tuple[int, int, int, int]] = []  # (window, frame, provenance, rows) in stream order
-
+    m, k, d = visual.shape[1] + audio.shape[1], params.cfg.queries, params.cfg.model_dim
+    n = sum(window.rows(m, k) for window in plan.windows)
+    stream = TDCStream(np.empty((n, d)), np.empty(n, np.uint8), np.empty(n, np.int32), np.empty(n, np.int32))
+    at = 0
     # a non-finite input is reported once, by the stream check below
     with np.errstate(invalid="ignore", over="ignore"):
         for w, window in enumerate(plan.windows):
-            s = window.static_frame
-            static = qformer.project(params, visual[s], audio[s])
-            blocks += [static, sep]
-            runs += [(w, s, Provenance.STATIC_VISUAL, m_v), (w, s, Provenance.STATIC_AUDIO, len(static) - m_v)]
-            runs.append((w, -1, Provenance.SEP, len(sep)))
-            if window.dynamic_frames:
-                queries = qformer.build_queries(params, visual[s], text)
-            for f in window.dynamic_frames:
-                blocks.append(qformer.forward(params, queries, visual[f], audio[f]))
-                runs.append((w, f, Provenance.DYNAMIC, len(blocks[-1])))
-
-    window_of, frame_of, code_of, rows = np.array(runs, dtype=np.int32).T
-    stream = TDCStream(
-        tokens=np.vstack(blocks),
-        provenance=np.repeat(code_of.astype(np.uint8), rows),
-        frame_index=np.repeat(frame_of, rows),
-        window_index=np.repeat(window_of, rows),
-    )
-    _check_finite(stream.tokens, stream, "is not finite")
+            start, end = at, at + window.rows(m, k)
+            for frame, code, block in _window_blocks(params, visual, audio, window, text):
+                if block.shape[1:] != (d,) or at + len(block) > end:
+                    raise ShapeError(f"window {w} emits a {block.shape} block outside its plan of ({end - start}, {d})")
+                rows = slice(at, at + len(block))
+                stream.tokens[rows], stream.provenance[rows], stream.frame_index[rows] = block, code, frame
+                at = rows.stop
+            if at != end:
+                raise ShapeError(f"window {w} emits {at - start} rows, its plan {end - start}")
+            stream.window_index[start:end] = w
+    _check_rows(stream, np.inf)
     return stream
 
 
-def _check_finite(tokens: np.ndarray, stream: TDCStream, problem: str) -> None:
-    """Raise NumericError naming the first of the stream's token rows that is not finite."""
-    finite = np.isfinite(tokens).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        frame = int(stream.frame_index[row])
-        where = "the separator" if frame < 0 else f"frame {frame}"
-        raise NumericError(f"stream token {row} from {where} {problem}")
+def _window_blocks(params, visual, audio, window: Window, text):
+    """(frame, provenance, block) of each block of a window's rows, in stream order."""
+    s, m_v = window.static_frame, visual.shape[1]
+    static = qformer.project(params, visual[s], audio[s])
+    yield s, Provenance.STATIC_VISUAL, static[:m_v]
+    yield s, Provenance.STATIC_AUDIO, static[m_v:]
+    yield -1, Provenance.SEP, params["sep"]
+    if window.dynamic_frames:
+        queries = qformer.build_queries(params, visual[s], text)
+    for f in window.dynamic_frames:
+        yield f, Provenance.DYNAMIC, qformer.forward(params, queries, visual[f], audio[f])
+
+
+def _check_rows(stream: TDCStream, limit: float) -> None:
+    """Raise NumericError naming the first token row, CHUNK_ROWS at a time, not finite or of magnitude >= limit."""
+    for start in range(0, len(stream), CHUNK_ROWS):
+        ok = (np.abs(stream.tokens[start : start + CHUNK_ROWS]) < limit).all(axis=1)
+        if not ok.all():
+            row = start + int(np.argmin(ok))
+            frame = int(stream.frame_index[row])
+            where = "the separator" if frame < 0 else f"frame {frame}"
+            problem = "is not finite" if not np.isfinite(stream.tokens[row]).all() else "overflows float32"
+            raise NumericError(f"stream token {row} from {where} {problem}")
 
 
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:
     """Exact per-window and total token counts versus the dense baseline."""
-    m_v = tl.visual_tokens_per_frame
-    m_a = tl.audio_tokens_per_frame
-    # static visual and audio, one separator, K per dynamic frame
-    per_window = tuple(m_v + m_a + 1 + (w.frame_count - 1) * cfg.queries for w in plan.windows)
+    m = tl.visual_tokens_per_frame + tl.audio_tokens_per_frame
+    per_window = tuple(w.rows(m, cfg.queries) for w in plan.windows)
     total = sum(per_window)
-    naive = tl.frame_count * (m_v + m_a)
+    naive = tl.frame_count * m
     return BudgetReport(per_window=per_window, total=total, naive=naive, ratio=naive / total)
 
 
 def write_stream(stream: TDCStream, path) -> None:
     """Serialize the token matrix with a one-byte-per-token provenance channel.
 
-    Raises NumericError, and writes nothing, if a token overflows float32.
+    Raises NumericError, and writes nothing, if a token is not finite or
+    overflows float32; the tokens are then cast and written in row chunks.
     """
-    with np.errstate(over="ignore"):
-        tokens = stream.tokens.astype("<f4")
-    _check_finite(tokens, stream, "overflows float32")
+    _check_rows(stream, FLOAT32_OVERFLOW)
     with write_container(path, STREAM_MAGIC, STREAM_VERSION) as w:
         w.u32(len(stream))
         w.u32(stream.tokens.shape[1])
-        w.array(tokens, "<f4")
+        for start in range(0, len(stream), CHUNK_ROWS):
+            w.array(stream.tokens[start : start + CHUNK_ROWS], "<f4")
         w.array(stream.provenance, "u1")
 
 

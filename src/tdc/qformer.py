@@ -612,8 +612,10 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
         raise NumericError(f"training loss is not finite: {loss}")
     d_out = np.broadcast_to((2.0 / (err.size * cfg.queries)) * (err @ batch.readout.T)[:, None, :], out.shape)
     grads = backward(params, cache, d_out)
-    new_tensors = {name: arr - lr * grads[name] for name, arr in params.tensors.items()}
-    return QFormerParams(cfg, new_tensors), loss
+    for name, arr in params.tensors.items():  # arr - lr * g, bit for bit, in g's own array
+        grads[name] *= -lr
+        grads[name] += arr
+    return QFormerParams(cfg, grads), loss
 
 
 # ---------------------------------------------------------------------------

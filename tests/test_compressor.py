@@ -3,13 +3,13 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdc
-from tdc import kernels, qformer
+from tdc import compressor, kernels, qformer
 from tdc.compressor import Provenance
-from tdc.errors import ArgumentError, ShapeError
+from tdc.errors import ArgumentError, NumericError, ShapeError
 from tdc.segmenter import ScenePartition
 
 from conftest import random_timeline, walk_stream_counts, with_queries
@@ -437,3 +437,137 @@ def test_stream_file_round_trip(tmp_path):
     assert tokens.shape == stream.tokens.shape
     np.testing.assert_array_equal(prov, stream.provenance)
     np.testing.assert_array_equal(tokens, stream.tokens.astype(np.float32))
+
+
+def chunked_stream(rows, dim=3, seed=0):
+    """A hand-built stream of ``rows`` random tokens, frame i on row i."""
+    return tdc.TDCStream(
+        tokens=np.random.default_rng(seed).standard_normal((rows, dim)),
+        provenance=np.full(rows, Provenance.DYNAMIC, dtype=np.uint8),
+        frame_index=np.arange(rows, dtype=np.int32),
+        window_index=np.zeros(rows, dtype=np.int32),
+    )
+
+
+def test_stream_of_more_than_two_chunks_round_trips(tmp_path):
+    # two whole row chunks and a partial third
+    stream = chunked_stream(2 * compressor.CHUNK_ROWS + 37)
+    path = tmp_path / "s.tdcs"
+    tdc.write_stream(stream, path)
+    tokens, prov = tdc.read_stream(path)
+    assert tokens.tobytes() == stream.tokens.astype(np.float32).tobytes()
+    np.testing.assert_array_equal(prov, stream.provenance)
+
+
+def test_overflow_in_the_last_chunk_writes_no_file(tmp_path):
+    stream = chunked_stream(2 * compressor.CHUNK_ROWS + 37)
+    row = len(stream) - 2
+    stream.tokens[row, 1] = -1e39
+    path = tmp_path / "s.tdcs"
+    with pytest.raises(NumericError, match=f"^stream token {row} from frame {row} overflows float32$"):
+        tdc.write_stream(stream, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "sep, match",
+    [
+        ((2, 16), r"^window 0 emits a \(3, 16\) block outside its plan of \(20, 16\)$"),
+        ((0, 16), "^window 0 emits 19 rows, its plan 20$"),
+        ((1, 15), r"^window 0 emits a \(1, 15\) block outside its plan of \(20, 16\)$"),
+    ],
+    ids=["more-rows", "fewer-rows", "other-width"],
+)
+def test_a_window_whose_blocks_disagree_with_its_plan_is_a_shape_error(sep, match):
+    # window 0 plans 6 + 4 static rows, one separator and 3 dynamic frames of 3 rows
+    tl, params, plan = small_setup()
+    params = tdc.QFormerParams(params.cfg, {**params.tensors, "sep": np.ones(sep)})
+    with pytest.raises(ShapeError, match=match):
+        tdc.assemble_tdc(tl, plan, params)
+
+
+def traced(fn):
+    """fn()'s result and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# what a call holds besides its arrays: frames, iterators, an open file's buffer
+# and the small objects that CPython keeps in its free lists; bounded whatever
+# the stream's size (at most about 30 KiB measured)
+CALL_SLACK = 64 << 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    frames=st.integers(1, 48),
+    visual_tokens=st.integers(1, 5),
+    audio_tokens=st.integers(0, 4),
+    visual_dim=st.integers(1, 5),
+    audio_dim=st.integers(1, 5),
+    heads=st.integers(1, 2),
+    head_dim=st.integers(1, 4),
+    layers=st.integers(1, 2),
+    queries=st.integers(1, 4),
+    query_type=st.sampled_from(qformer.QUERY_TYPES),
+    text_on=st.booleans(),
+    window=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+# many small frames: a block list and its vstack copy each outweigh the stream
+@example(
+    frames=3000, visual_tokens=1, audio_tokens=0, visual_dim=1, audio_dim=1, heads=1, head_dim=1, layers=1,
+    queries=1, query_type="avgpool", text_on=False, window=8, seed=0,
+)
+# a stream of 9,500 rows and 0.7 MB: any whole copy of it outweighs the allowance
+@example(
+    frames=2000, visual_tokens=5, audio_tokens=4, visual_dim=3, audio_dim=2, heads=2, head_dim=4, layers=2,
+    queries=4, query_type="learned", text_on=True, window=8, seed=1,
+)
+def test_assemble_and_write_hold_the_stream_plus_one_chunk_and_one_window(
+    tmp_path_factory, frames, visual_tokens, audio_tokens, visual_dim, audio_dim, heads, head_dim, layers,
+    queries, query_type, text_on, window, seed,
+):
+    rng = np.random.default_rng(seed)
+    tl = tdc.VideoTimeline(
+        rng.standard_normal((frames, visual_tokens, visual_dim)).astype(np.float32),
+        rng.standard_normal((frames, audio_tokens, audio_dim)).astype(np.float32),
+        rng.standard_normal((frames, 2)).astype(np.float32),
+    )
+    # avgpool pools the static frame's visual tokens into K queries, so K <= m_v there
+    k = min(queries, visual_tokens) if query_type == "avgpool" else queries
+    d = heads * head_dim
+    params = tdc.init_params(tdc.QFormerConfig(
+        model_dim=d, heads=heads, layers=layers, queries=k, visual_dim=visual_dim, audio_dim=audio_dim,
+        query_type=query_type, text_conditioning=text_on, seed=seed,
+    ))
+    cuts = rng.choice(np.arange(1, frames), size=min(frames - 1, int(rng.integers(0, 6))), replace=False)
+    plan = tdc.make_windows(ScenePartition(frames, tuple(sorted(int(c) for c in cuts))), window)
+    plan.windows  # the plan's own windows are not the call's to hold
+    text = tdc.tokenize_text("where is the ball") if text_on else None
+
+    # one window's working set: its static frame projected, its queries and
+    # one frame's forward, all held at once (this also warms any cache)
+    v, a = tl.visual_tokens[0], tl.audio_tokens[0]
+    _, window_set = traced(lambda: (
+        qformer.project(params, v, a),
+        (window_queries := qformer.build_queries(params, v, text)),
+        qformer.forward(params, window_queries, v, a),
+    ))
+    # one row chunk as the checks scan it: its float64 magnitudes, their mask and the row mask
+    chunk = compressor.CHUNK_ROWS * (9 * d + 1)
+
+    stream, peak = traced(lambda: tdc.assemble_tdc(tl, plan, params, text=text))
+    stream_bytes = sum(x.nbytes for x in (stream.tokens, stream.provenance, stream.frame_index, stream.window_index))
+    allowance = chunk + window_set + CALL_SLACK
+    assert peak <= stream_bytes + allowance, (
+        f"assemble_tdc peak {peak} for a {stream_bytes}-byte stream: {peak - stream_bytes} over it, allowed {allowance}"
+    )
+
+    path = tmp_path_factory.mktemp("bound") / "s.tdcs"
+    _, peak = traced(lambda: tdc.write_stream(stream, path))
+    assert peak <= chunk + CALL_SLACK, f"write_stream peak {peak}, allowed {chunk + CALL_SLACK}"

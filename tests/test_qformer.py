@@ -352,6 +352,25 @@ def test_train_step_zero_lr_is_noop():
         tdc.train_step(params, batch, -0.1)
 
 
+@pytest.mark.parametrize("query_type", qformer.QUERY_TYPES)
+def test_train_step_leaves_its_params_alone_and_shares_no_array_with_them(query_type):
+    cfg = tiny_config(query_type=query_type, text_conditioning=True)
+    params = tdc.init_params(cfg)
+    before = {name: arr.copy() for name, arr in params.tensors.items()}
+    batch = qformer.make_train_batch(cfg, seed=4, frames=3, visual_tokens=6, audio_tokens=4)
+    new_params, _ = tdc.train_step(params, batch, 0.05)
+    # oracle: the gradient of the same loss, taken apart from the step
+    queries = qformer.build_queries(params, batch.static_visual, batch.text)
+    out, cache = qformer.forward(params, queries, batch.dynamic_visual, batch.dynamic_audio, return_cache=True)
+    err = out.mean(axis=-2) @ batch.readout - batch.target
+    d_out = np.broadcast_to((2.0 / (err.size * cfg.queries)) * (err @ batch.readout.T)[:, None, :], out.shape)
+    grads = qformer.backward(params, cache, d_out)
+    for name, arr in params.tensors.items():
+        assert arr.tobytes() == before[name].tobytes(), name
+        assert new_params[name].tobytes() == (arr - 0.05 * grads[name]).tobytes(), name
+        assert not any(np.shares_memory(new_params[name], old) for old in params.tensors.values()), name
+
+
 @pytest.mark.parametrize("lr", [np.nan, np.inf])
 def test_train_step_rejects_a_learning_rate_that_is_not_finite(lr):
     cfg = tiny_config()
