@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import BadMagicError, FormatError, TruncatedPayloadError, VersionMismatchError
 
+FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to float32 inf; writers keep |x| below it
+
 
 class ByteReader:
     """Sequential reader over an open binary file, tracking the offset; every

@@ -28,13 +28,9 @@ from .errors import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ArgumentError(message)
 
 
 def _parse_boundaries(text: str) -> tuple[int, ...]:
@@ -236,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         print(json.dumps({"command": args.command, **args.run(args)}))
         return 0
-    except (_UsageError, ArgumentError) as exc:
+    except ArgumentError as exc:
         print(f"tdc: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -10,8 +10,8 @@ compressed tokens per dynamic frame in frame order.  Windows follow
 timeline order; no separator is inserted between windows.  A window builds
 its queries once and compresses each dynamic frame with one
 ``qformer.forward``; a window without dynamic frames builds none.
-The stream is one buffer sized from the plan, which each block is written
-into as it is made; ``write_stream`` writes it in row chunks.
+The stream is one buffer sized from the plan, which a checked ``QFormerParams``
+fills exactly, block by block; ``write_stream`` writes it in row chunks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import qformer
-from .binio import read_container, write_container
+from .binio import FLOAT32_OVERFLOW, read_container, write_container
 from .errors import ArgumentError, FormatError, NumericError, ShapeError
 from .segmenter import SegmenterConfig, segment_scenes
 from .timeline import InstructionTokens, ScenePartition, VideoTimeline
@@ -32,7 +32,6 @@ STREAM_MAGIC = b"TDCS"
 STREAM_VERSION = 1
 DEFAULT_WINDOW = 8
 CHUNK_ROWS = 1024  # token rows checked, cast and written at a time
-FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude that rounds to float32 inf
 
 
 class Provenance(IntEnum):
@@ -127,8 +126,8 @@ def assemble_tdc(
     """Build the full compressed stream for a planned timeline, in one buffer of
     the plan's row count into which each block is written as it is made.
 
-    Raises ShapeError, naming the window, if its blocks do not fill its planned
-    rows, and NumericError, naming the first frame, if any token is not finite.
+    Raises ShapeError if the plan and the timeline differ in frame count, and
+    NumericError, naming the first frame, if any token is not finite.
     """
     if plan.partition.frame_count != tl.frame_count:
         raise ShapeError(f"plan covers {plan.partition.frame_count} frames, timeline has {tl.frame_count}")
@@ -141,16 +140,11 @@ def assemble_tdc(
     # a non-finite input is reported once, by the stream check below
     with np.errstate(invalid="ignore", over="ignore"):
         for w, window in enumerate(plan.windows):
-            start, end = at, at + window.rows(m, k)
             for frame, code, block in _window_blocks(params, visual, audio, window, text):
-                if block.shape[1:] != (d,) or at + len(block) > end:
-                    raise ShapeError(f"window {w} emits a {block.shape} block outside its plan of ({end - start}, {d})")
                 rows = slice(at, at + len(block))
-                stream.tokens[rows], stream.provenance[rows], stream.frame_index[rows] = block, code, frame
+                stream.tokens[rows], stream.provenance[rows] = block, code
+                stream.frame_index[rows], stream.window_index[rows] = frame, w
                 at = rows.stop
-            if at != end:
-                raise ShapeError(f"window {w} emits {at - start} rows, its plan {end - start}")
-            stream.window_index[start:end] = w
     _check_rows(stream, np.inf)
     return stream
 
@@ -209,6 +203,8 @@ def read_stream(path) -> tuple[np.ndarray, np.ndarray]:
     with read_container(path, STREAM_MAGIC, STREAM_VERSION) as r:
         count = r.u32("token count")
         dim = r.u32("token dim")
+        if count and not dim:  # such rows take no bytes, so any count would fit the file
+            raise FormatError(f"{count} tokens of dim 0", r.offset - 4)
         tokens = r.array((count, dim), "<f4", "token payload")
         prov_at = r.offset
         prov = r.array((count,), "u1", "provenance payload")

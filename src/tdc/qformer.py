@@ -29,12 +29,13 @@ window's frames, whose gradients the backward sums where the window's work feeds
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .binio import read_container, write_container
+from .binio import FLOAT32_OVERFLOW, read_container, write_container
 from .errors import ArgumentError, FormatError, NumericError, ShapeError
 from .timeline import VOCAB_SIZE, InstructionTokens
 
@@ -126,8 +127,19 @@ def expected_shapes(cfg: QFormerConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class QFormerParams:
+    """A config and tensors of exactly the names and shapes of ``expected_shapes``, else a
+    ShapeError naming the first misfit; no name can be replaced after that check."""
+
     cfg: QFormerConfig
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
+
+    def __post_init__(self):
+        shapes = expected_shapes(self.cfg)
+        found = {name: np.shape(tensor) for name, tensor in self.tensors.items()}
+        if found != shapes:
+            name = next(n for n in {**shapes, **found} if found.get(n) != shapes.get(n))
+            raise ShapeError(f"tensor {name!r} is {found.get(name, 'missing')}, the config expects {shapes.get(name, 'none')}")
+        object.__setattr__(self, "tensors", MappingProxyType(dict(self.tensors)))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -624,27 +636,18 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
 
 def save_params(params: QFormerParams, path) -> None:
     """Write a TDCP checkpoint: config header, then the float32 tensors in expected_shapes order.
-
-    Raises ShapeError if the tensors are not the config's names and shapes,
-    NumericError if one is not finite in float32; either way writes nothing.
-    """
-    cfg, shapes = params.cfg, expected_shapes(params.cfg)
-    found = {name: np.shape(tensor) for name, tensor in params.tensors.items()}
-    if found != shapes:  # the file records no name or shape that a reader could check
-        name = next(n for n in {**shapes, **found} if found.get(n) != shapes.get(n))
-        raise ShapeError(f"tensor {name!r} is {found.get(name, 'missing')}, the config expects {shapes.get(name, 'none')}")
-    with np.errstate(over="ignore"):
-        stored = {name: params[name].astype("<f4") for name in shapes}
-    for name, tensor in stored.items():
-        if not np.isfinite(tensor).all():
+    Raises NumericError, and writes nothing, if a tensor is not finite in float32."""
+    cfg, names = params.cfg, expected_shapes(params.cfg)
+    for name in names:
+        if not (np.abs(params[name]) < FLOAT32_OVERFLOW).all():
             raise NumericError(f"tensor {name!r} is not finite in float32")
     with write_container(path, PARAMS_MAGIC, PARAMS_VERSION) as w:
         w.u8(QUERY_TYPES.index(cfg.query_type))
         w.u8(int(cfg.text_conditioning))
         for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, VOCAB_SIZE, cfg.visual_dim, cfg.audio_dim):
             w.u32(value)
-        for tensor in stored.values():
-            w.array(tensor, "<f4")
+        for name in names:
+            w.array(params[name], "<f4")
 
 
 def load_params(path) -> QFormerParams:
@@ -655,6 +658,8 @@ def load_params(path) -> QFormerParams:
         if query_type_idx >= len(QUERY_TYPES):
             raise FormatError(f"unknown query type code {query_type_idx}", header_offset)
         text_flag = r.u8("text flag")
+        if text_flag > 1:
+            raise FormatError(f"text flag {text_flag} is neither 0 nor 1", header_offset + 1)
         model_dim = r.u32("model_dim")
         heads = r.u32("heads")
         layers_offset = r.offset

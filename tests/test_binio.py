@@ -96,7 +96,21 @@ def huge_tdcs(path):
     return tdc.read_stream, TruncatedPayloadError, 4 + 4 + 4 + 4
 
 
-@pytest.mark.parametrize("make", [huge_tdcf, huge_tdcf_of_dim_zero, huge_tdcs], ids=["tdcf", "tdcf-dim0", "tdcs"])
+def tdcs_of_dim_zero(path, count):
+    """A TDCS that declares ``count`` tokens of dim 0, followed by up to 3 provenance bytes."""
+    path.write_bytes(b"TDCS" + b"".join(n.to_bytes(4, "little") for n in (1, count, 0)) + bytes(min(count, 3)))
+    return 4 + 4 + 4  # magic, version, token count: the dim
+
+
+def huge_tdcs_of_dim_zero(path):
+    return tdc.read_stream, FormatError, tdcs_of_dim_zero(path, 2**32 - 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [huge_tdcf, huge_tdcf_of_dim_zero, huge_tdcs, huge_tdcs_of_dim_zero],
+    ids=["tdcf", "tdcf-dim0", "tdcs", "tdcs-dim0"],
+)
 def test_declared_payload_beyond_file_fails_before_allocating(tmp_path, make):
     reader, error, offset = make(tmp_path / "huge")
     with peak_bytes() as peak, pytest.raises(error) as err:
@@ -227,6 +241,18 @@ def test_stream_provenance_code_that_names_no_provenance_is_format_error(tmp_pat
     with pytest.raises(FormatError, match="token 1 has provenance code 200") as err:
         tdc.read_stream(path)
     assert err.value.offset == len(raw) - 1
+
+
+def test_stream_tokens_of_dim_zero_are_format_error_at_the_dim(tmp_path):
+    # read_tdcf refuses the same shape; no byte backs such a token
+    path = tmp_path / "s.tdcs"
+    dim_at = tdcs_of_dim_zero(path, 3)
+    with pytest.raises(FormatError, match="3 tokens of dim 0") as err:
+        tdc.read_stream(path)
+    assert err.value.offset == dim_at
+    tdcs_of_dim_zero(path, 0)  # an empty stream of dim 0 reads as one
+    tokens, prov = tdc.read_stream(path)
+    assert tokens.shape == (0, 0) and prov.shape == (0,)
 
 
 def overflowing_stream(path):

@@ -173,6 +173,23 @@ def test_exit_code_usage(capsys, tmp_path):
     assert main(["lvcot", "--input", str(path), "--text", "q", "--segments", "99"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen"], "the following arguments are required: --output"),
+        (["gen", "--output", "t.tdcf", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["gradcheck", "--unknown"], "unrecognized arguments: --unknown"),
+    ],
+    ids=["missing", "invalid", "unrecognized"],
+)
+def test_an_argument_the_parser_refuses_is_its_message_on_one_usage_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"tdc: usage error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["gen", "compress", "lvcot", "gradcheck"])
 def test_negative_seed_is_one_usage_line(capsys, tmp_path, command):
     path = gen_file(capsys, tmp_path, frames=24, boundaries="8,16")

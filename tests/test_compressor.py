@@ -469,23 +469,6 @@ def test_overflow_in_the_last_chunk_writes_no_file(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize(
-    "sep, match",
-    [
-        ((2, 16), r"^window 0 emits a \(3, 16\) block outside its plan of \(20, 16\)$"),
-        ((0, 16), "^window 0 emits 19 rows, its plan 20$"),
-        ((1, 15), r"^window 0 emits a \(1, 15\) block outside its plan of \(20, 16\)$"),
-    ],
-    ids=["more-rows", "fewer-rows", "other-width"],
-)
-def test_a_window_whose_blocks_disagree_with_its_plan_is_a_shape_error(sep, match):
-    # window 0 plans 6 + 4 static rows, one separator and 3 dynamic frames of 3 rows
-    tl, params, plan = small_setup()
-    params = tdc.QFormerParams(params.cfg, {**params.tensors, "sep": np.ones(sep)})
-    with pytest.raises(ShapeError, match=match):
-        tdc.assemble_tdc(tl, plan, params)
-
-
 def traced(fn):
     """fn()'s result and the tracemalloc peak of the call."""
     tracemalloc.start()

@@ -431,20 +431,50 @@ def test_checkpoint_is_its_header_then_its_tensors_in_canonical_order(tmp_path):
     assert raw[header:] == b"".join(params[name].astype("<f4").tobytes() for name in shapes)
 
 
-def test_save_refuses_tensors_that_do_not_fit_the_config_and_leaves_the_file(tmp_path):
+@pytest.mark.parametrize(
+    "cfg, name, shape, match",
+    [
+        (tiny_config(), "sep", None, r"^tensor 'sep' is missing, the config expects \(1, 8\)$"),
+        (tiny_config(), "extra", (3,), r"^tensor 'extra' is \(3,\), the config expects none$"),
+        (tiny_config(), "visual_proj", (8, 4), r"^tensor 'visual_proj' is \(8, 4\), the config expects \(4, 8\)$"),
+        # a separator of other than one row, or other than model_dim wide, would misfit every window's plan
+        (tiny_config(), "sep", (2, 8), r"^tensor 'sep' is \(2, 8\), the config expects \(1, 8\)$"),
+        (tiny_config(), "sep", (0, 8), r"^tensor 'sep' is \(0, 8\), the config expects \(1, 8\)$"),
+        (tiny_config(), "sep", (1, 7), r"^tensor 'sep' is \(1, 7\), the config expects \(1, 8\)$"),
+        # one query too many would run as a text row: the stream moves, and no error is raised
+        (tdc.QFormerConfig(), "learned_queries", (17, 64), r"^tensor 'learned_queries' is \(17, 64\), the config expects \(16, 64\)$"),
+        # the rest fail inside numpy, with IndexError, ValueError or KeyError, if let through
+        (tdc.QFormerConfig(), "text_embed", (10, 64), r"^tensor 'text_embed' is \(10, 64\), the config expects \(1024, 64\)$"),
+        (tdc.QFormerConfig(), "audio_proj", (31, 64), r"^tensor 'audio_proj' is \(31, 64\), the config expects \(32, 64\)$"),
+        (tdc.QFormerConfig(), "layers.0.ffn.b1", (255,), r"^tensor 'layers.0.ffn.b1' is \(255,\), the config expects \(256,\)$"),
+        (tdc.QFormerConfig(), "layers.1.cross.wo", None, r"^tensor 'layers.1.cross.wo' is missing, the config expects \(64, 64\)$"),
+    ],
+    ids=[
+        "missing", "extra", "transposed", "sep-more-rows", "sep-fewer-rows", "sep-other-width",
+        "one-query-too-many", "short-text-embed", "short-audio-proj", "short-ffn-bias", "missing-layer-1",
+    ],
+)
+def test_params_that_do_not_fit_the_config_are_a_shape_error_when_made(cfg, name, shape, match):
+    tensors = dict(tdc.init_params(cfg).tensors)
+    if shape is None:
+        del tensors[name]
+    else:
+        tensors[name] = np.zeros(shape)
+    with pytest.raises(ShapeError, match=match):
+        qformer.QFormerParams(cfg, tensors)
+
+
+def test_params_tensors_take_no_new_array_but_are_edited_in_place():
     cfg = tiny_config()
-    tensors = tdc.init_params(cfg).tensors
-    path = tmp_path / "p.tdcp"
-    path.write_bytes(b"earlier contents")
-    cases = [
-        ({k: v for k, v in tensors.items() if k != "sep"}, r"'sep' is missing, the config expects \(1, 8\)"),
-        ({**tensors, "extra": np.zeros(3)}, r"'extra' is \(3,\), the config expects none"),
-        ({**tensors, "visual_proj": tensors["visual_proj"].T}, r"'visual_proj' is \(8, 4\), the config expects \(4, 8\)"),
-    ]
-    for wrong, message in cases:
-        with pytest.raises(ShapeError, match=message):
-            tdc.save_params(qformer.QFormerParams(cfg, wrong), path)
-        assert path.read_bytes() == b"earlier contents"
+    tensors = dict(tdc.init_params(cfg).tensors)
+    sep = tensors["sep"]
+    params = qformer.QFormerParams(cfg, tensors)
+    with pytest.raises(TypeError):
+        params.tensors["sep"] = np.zeros((1, 8))
+    tensors["sep"] = np.zeros((2, 8))  # the dict it was made from is not its mapping
+    assert params["sep"] is sep
+    params.tensors["sep"][:] = 2.0  # as grad_check edits an entry
+    assert (sep == 2.0).all()
 
 
 def test_checkpoint_without_audio_round_trips(tmp_path):
@@ -457,13 +487,26 @@ def test_checkpoint_without_audio_round_trips(tmp_path):
     assert tdc.load_params(path).cfg == loaded.cfg
 
 
-def test_checkpoint_value_beyond_float32_is_numeric_error_and_no_file(tmp_path):
+@pytest.mark.parametrize(
+    "value", [1e39, 2.0**128 - 2.0**103, np.nan, -np.inf], ids=["beyond", "threshold", "nan", "-inf"]
+)
+def test_checkpoint_value_beyond_float32_is_numeric_error_and_no_file(tmp_path, value):
     params = tdc.init_params(tiny_config())
-    params.tensors["sep"][0, 0] = 1e39
+    params.tensors["sep"][0, 0] = value
     path = tmp_path / "p.tdcp"
-    with pytest.raises(NumericError, match="'sep'"):
+    with pytest.raises(NumericError, match="^tensor 'sep' is not finite in float32$"):
         tdc.save_params(params, path)
     assert not path.exists()
+
+
+def test_save_keeps_the_largest_value_that_rounds_to_a_finite_float32(tmp_path):
+    params = tdc.init_params(tiny_config())
+    below = np.nextafter(2.0**128 - 2.0**103, 0.0)
+    params.tensors["sep"][0, :3] = below, -below, 0.0
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(params, path)
+    limit = float(np.finfo(np.float32).max)
+    assert tdc.load_params(path)["sep"][0, :3].tolist() == [limit, -limit, 0.0]
 
 
 def test_checkpoint_parse_errors(tmp_path):
@@ -509,6 +552,20 @@ def test_checkpoint_layer_count_beyond_file_is_format_error_at_layers(tmp_path):
     with pytest.raises(FormatError, match="1000 layers") as err:
         tdc.load_params(bad)
     assert err.value.offset == layers_at
+
+
+def test_checkpoint_text_flag_other_than_0_or_1_is_format_error(tmp_path):
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config(text_conditioning=True)), path)
+    raw = bytearray(path.read_bytes())
+    flag_at = 4 + 4 + 1  # magic, version, query type
+    assert raw[flag_at] == 1
+    raw[flag_at] = 7
+    bad = tmp_path / "bad.tdcp"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="text flag 7") as err:
+        tdc.load_params(bad)
+    assert err.value.offset == flag_at
 
 
 def test_checkpoint_signalling_nan_parses_like_any_nan(tmp_path):
