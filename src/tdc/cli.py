@@ -220,7 +220,7 @@ def _cmd_gradcheck(args) -> dict:
     return {
         "seed": args.seed,
         "max_relative_error": report.max_relative_error,
-        "threshold": report.threshold,
+        "threshold": qformer.GRAD_CHECK_THRESHOLD,
         "passed": report.passed,
         "per_tensor": {k: float(v) for k, v in report.per_tensor.items()},
     }

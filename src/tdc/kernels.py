@@ -3,13 +3,15 @@
 All kernels compute in 64-bit IEEE-754 regardless of input dtype, return
 fresh float64 arrays and never mutate their inputs.  Row-wise kernels work
 on the last axis, so a stack of matrices (..., rows, cols) is one call.
+layer_norm takes gamma and beta as given: a checked ``QFormerParams``
+already holds them at the row width, as layer_norm_grad assumes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError
 
 LN_EPS = 1e-5  # added to each row's variance in layer_norm
 
@@ -39,18 +41,12 @@ def layer_norm(m, gamma, beta):
     standard deviation) is what layer_norm_grad needs.
     """
     a = np.asarray(m, dtype=np.float64)
-    g = np.asarray(gamma, dtype=np.float64).ravel()
-    b = np.asarray(beta, dtype=np.float64).ravel()
-    if g.shape[0] != a.shape[-1] or b.shape[0] != a.shape[-1]:
-        raise ShapeError(
-            f"gamma/beta lengths {g.shape[0]}/{b.shape[0]} do not match {a.shape[-1]} columns"
-        )
     d = a.shape[-1]  # each row mean as sum / d: np.mean's own arithmetic without its Python wrapper
     xhat = a - a.sum(axis=-1, keepdims=True) / d
     out = xhat * xhat
     inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
-    return np.add(np.multiply(xhat, g, out=out), b, out=out), (xhat, inv)
+    return np.add(np.multiply(xhat, gamma, out=out), beta, out=out), (xhat, inv)
 
 
 def layer_norm_grad(dy, cache, gamma):

@@ -66,7 +66,6 @@ class LVCoTConfig:
 @dataclass(frozen=True)
 class LVCoTTrace:
     spans: tuple[tuple[int, int], ...]
-    segment_prompt: str  # the same prompt goes with every span's stream
     segment_answers: tuple[str, ...]
     final_prompt: str
     final_answer: str
@@ -107,7 +106,6 @@ def run_lvcot(
 
     return LVCoTTrace(
         spans=spans,
-        segment_prompt=prompt,
         segment_answers=tuple(answers),
         final_prompt=final_prompt,
         final_answer=final_answer,

@@ -41,6 +41,8 @@ from .timeline import VOCAB_SIZE, InstructionTokens
 
 PARAMS_MAGIC = b"TDCP"
 PARAMS_VERSION = 2
+# the u32 fields of the TDCP header, in file order after its query-type and text-flag bytes
+PARAMS_HEADER = ("model_dim", "heads", "layers", "queries", "vocab", "visual_dim", "audio_dim")
 GRAD_CHECK_THRESHOLD = 1e-5
 GRAD_CHECK_STEP = 1e-5  # central-difference step
 QUERY_TYPES = ("avgpool", "learned")
@@ -505,7 +507,6 @@ def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str,
 class GradCheckReport:
     per_tensor: dict[str, float]
     max_relative_error: float
-    threshold: float
     passed: bool
 
 
@@ -555,7 +556,6 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
     return GradCheckReport(
         per_tensor=per_tensor,
         max_relative_error=worst,
-        threshold=GRAD_CHECK_THRESHOLD,
         passed=worst <= GRAD_CHECK_THRESHOLD,
     )
 
@@ -644,8 +644,8 @@ def save_params(params: QFormerParams, path) -> None:
     with write_container(path, PARAMS_MAGIC, PARAMS_VERSION) as w:
         w.u8(QUERY_TYPES.index(cfg.query_type))
         w.u8(int(cfg.text_conditioning))
-        for value in (cfg.model_dim, cfg.heads, cfg.layers, cfg.queries, VOCAB_SIZE, cfg.visual_dim, cfg.audio_dim):
-            w.u32(value)
+        for field in PARAMS_HEADER:
+            w.u32(VOCAB_SIZE if field == "vocab" else getattr(cfg, field))
         for name in names:
             w.array(params[name], "<f4")
 
@@ -660,32 +660,17 @@ def load_params(path) -> QFormerParams:
         text_flag = r.u8("text flag")
         if text_flag > 1:
             raise FormatError(f"text flag {text_flag} is neither 0 nor 1", header_offset + 1)
-        model_dim = r.u32("model_dim")
-        heads = r.u32("heads")
-        layers_offset = r.offset
-        layers = r.u32("layers")
+        at = {field: r.offset + 4 * i for i, field in enumerate(PARAMS_HEADER)}
+        header = {field: r.u32(field) for field in PARAMS_HEADER}
+        layers, model_dim, vocab = header["layers"], header["model_dim"], header.pop("vocab")
         # each layer stores eight (d, d) float32 attention matrices; bound the
         # count by the bytes left before expected_shapes loops over the layers
         if layers * 8 * 4 * model_dim * model_dim > r.left:
-            raise FormatError(f"{layers} layers of width {model_dim} overrun the {r.left} bytes left", layers_offset)
-        queries = r.u32("queries")
-        vocab_offset = r.offset
-        vocab = r.u32("vocab")
+            raise FormatError(f"{layers} layers of width {model_dim} overrun the {r.left} bytes left", at["layers"])
         if vocab != VOCAB_SIZE:
-            raise FormatError(f"text vocabulary {vocab} is not {VOCAB_SIZE}", vocab_offset)
-        visual_dim = r.u32("visual_dim")
-        audio_dim = r.u32("audio_dim")
+            raise FormatError(f"text vocabulary {vocab} is not {VOCAB_SIZE}", at["vocab"])
         try:
-            cfg = QFormerConfig(
-                model_dim=model_dim,
-                heads=heads,
-                layers=layers,
-                queries=queries,
-                query_type=QUERY_TYPES[query_type_idx],
-                text_conditioning=bool(text_flag),
-                visual_dim=visual_dim,
-                audio_dim=audio_dim,
-            )
+            cfg = QFormerConfig(**header, query_type=QUERY_TYPES[query_type_idx], text_conditioning=bool(text_flag))
         except ArgumentError as exc:
             raise FormatError(f"invalid config header: {exc}", header_offset) from exc
         with np.errstate(invalid="ignore"):  # a signalling NaN parses like any NaN, setting no invalid flag

@@ -61,9 +61,6 @@ class InstructionTokens:
             if not 0 <= i < VOCAB_SIZE:
                 raise ArgumentError(f"token id {i} outside [0, {VOCAB_SIZE})")
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 def tokenize_text(s: str) -> InstructionTokens:
     """Deterministically hash whitespace-split words into [0, 1024)."""

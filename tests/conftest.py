@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tdc
+from tdc import kernels, qformer
 
 
 # a NaN with the quiet bit clear, which a flipped exponent bit can leave in a file
@@ -43,6 +44,44 @@ def head_contexts(cache, layer):
     gv = cache.queries.g[layer][1]
     ctx = cache.layers[layer].cross.ctx
     return ctx.reshape(*ctx.shape[:-1], len(gv), -1).swapaxes(-3, -2) @ gv.swapaxes(-1, -2)
+
+
+def _merge_heads(x):
+    *lead, h, n, dh = x.shape
+    return np.moveaxis(x, -3, -2).reshape(*lead, n, h * dh)
+
+
+def _norm(x, t, prefix):
+    return kernels.layer_norm(x, t[prefix + ".gamma"], t[prefix + ".beta"])[0]
+
+
+def _attention(q_in, kv_in, t, prefix, heads):
+    q = split_heads(q_in @ t[prefix + ".wq"], heads)
+    k = split_heads(kv_in @ t[prefix + ".wk"], heads)
+    v = split_heads(kv_in @ t[prefix + ".wv"], heads)
+    probs = kernels.softmax_rows(q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]))
+    return _merge_heads(probs @ v) @ t[prefix + ".wo"]
+
+
+def unfolded_forward(params, static, visual, audio, text=None):
+    """The float64 reference forward of one frame or a stack, written the direct way
+    from the static frame (see test_cross_attention_fold)."""
+    cfg, t = params.cfg, params.tensors
+    k = cfg.queries
+    kv = qformer.project(params, visual, audio)
+    ids = list(text.ids) if cfg.text_conditioning and text is not None else []
+    pooled = kernels.pool_matrix(len(static), k) @ static if cfg.query_type == "avgpool" else None
+    q = t["learned_queries"] if pooled is None else pooled @ t["visual_proj"]
+    rows = np.vstack([q, t["text_embed"][ids]])
+    x = np.broadcast_to(rows, kv.shape[:-2] + rows.shape).copy()
+    for i in range(cfg.layers):
+        p = f"layers.{i}."
+        h = _norm(x, t, p + "self_norm")
+        x = x + _attention(h, h, t, p + "self", cfg.heads)
+        x[..., :k, :] += _attention(_norm(x[..., :k, :], t, p + "cross_norm"), kv, t, p + "cross", cfg.heads)
+        h = _norm(x, t, p + "ffn_norm")
+        x = x + kernels.gelu(h @ t[p + "ffn.w1"] + t[p + "ffn.b1"]) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+    return _norm(x[..., :k, :], t, "final_norm")
 
 
 def brute_force_cuts(similarities, tau, max_scenes):

@@ -12,7 +12,7 @@ from tdc.compressor import Provenance
 from tdc.errors import ArgumentError, NumericError, ShapeError
 from tdc.segmenter import ScenePartition
 
-from conftest import random_timeline, walk_stream_counts, with_queries
+from conftest import random_timeline, unfolded_forward, walk_stream_counts, with_queries
 
 
 def small_setup(seed=0, frames=9, boundaries=(4,), query_type="avgpool", text_conditioning=False):
@@ -284,6 +284,62 @@ def test_each_window_equals_that_window_assembled_alone(
         assert np.array_equal(stream.window_index[rows], np.full(len(alone), w))
         start += len(alone)
     assert start == len(stream)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    frames=st.integers(1, 12),
+    window_length=st.integers(1, 5),
+    k=st.integers(1, 3),
+    audio_tokens=st.integers(0, 3),
+    heads=st.sampled_from([1, 2, 4]),
+    layers=st.integers(1, 3),
+    query_type=st.sampled_from(qformer.QUERY_TYPES),
+    text=st.sampled_from([None, "", "where does the dog run"]),
+)
+def test_stream_equals_an_independent_rebuild_of_every_row(
+    data, seed, frames, window_length, k, audio_tokens, heads, layers, query_type, text
+):
+    # the oracle for every fast path: each row rebuilt on its own from the planted cuts, in float64
+    cuts = tuple(c for c in range(1, frames) if data.draw(st.booleans(), label=f"cut at {c}"))
+    visual_tokens = data.draw(st.integers(k, k + 3), label="visual_tokens")
+    rng = np.random.default_rng(seed)
+    # descriptors with the planted cuts, and frame tokens that differ from frame to frame
+    spec = tdc.SynthSpec(seed=seed, frames=frames, boundaries=cuts, visual_tokens=1, audio_tokens=0, dim=8)
+    tl = tdc.VideoTimeline(
+        rng.standard_normal((frames, visual_tokens, 5)), rng.standard_normal((frames, audio_tokens, 3)),
+        tdc.synth_generate(spec).descriptors,
+    )
+    cfg = tdc.QFormerConfig(
+        model_dim=8, heads=heads, layers=layers, queries=k, query_type=query_type,
+        text_conditioning=text is not None, visual_dim=5, audio_dim=3, seed=seed,
+    )
+    params = tdc.init_params(cfg)
+    tokens = None if text is None else tdc.tokenize_text(text)
+    plan, stream = tdc.CompressionContext(params, window_length=window_length).compress(tl, tokens)
+    assert plan.partition.boundaries == cuts
+
+    visual, audio = tl.visual_tokens.astype(np.float64), tl.audio_tokens.astype(np.float64)
+    edges = (0, *cuts, frames)
+    blocks, prov, frame_index, window_index = [], [], [], []
+    scenes = zip(edges, edges[1:])
+    windows = [(s, min(s + window_length, stop)) for start, stop in scenes for s in range(start, stop, window_length)]
+    for w, (s, stop) in enumerate(windows):
+        rows = [visual[s] @ params["visual_proj"], audio[s] @ params["audio_proj"], params["sep"]]
+        rows += [unfolded_forward(params, visual[s], visual[f], audio[f], tokens) for f in range(s + 1, stop)]
+        blocks += rows
+        prov += [Provenance.STATIC_VISUAL] * visual_tokens + [Provenance.STATIC_AUDIO] * audio_tokens + [Provenance.SEP]
+        prov += [Provenance.DYNAMIC] * (k * (stop - s - 1))
+        frame_index += [s] * (visual_tokens + audio_tokens) + [-1] + [f for f in range(s + 1, stop) for _ in range(k)]
+        window_index += [w] * sum(len(r) for r in rows)
+    expected = np.vstack(blocks)
+    assert stream.tokens.shape == expected.shape
+    np.testing.assert_allclose(stream.tokens, expected, rtol=0, atol=1e-10)
+    assert stream.provenance.tolist() == prov
+    assert stream.frame_index.tolist() == frame_index
+    assert stream.window_index.tolist() == window_index
 
 
 def test_single_frame_window_has_no_dynamic_tokens(default_params):

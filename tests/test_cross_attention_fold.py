@@ -4,56 +4,20 @@
 folds the key, value and output weights into each modality's projection,
 once per window, and runs there too what reads no frame: layer 0's
 self-attention, its cross-attention query side and its FFN of the text
-rows.  Each frame scores its tokens into one buffer.  The reference below is
-the forward written the direct way, one function from the static frame to the
-output: it pools the queries itself, projects every frame token into model
-space and then through wk and wv, and computes every [query; text] row in
-every layer.  Both must agree to 1e-12.
+rows.  Each frame scores its tokens into one buffer.  The reference,
+``conftest.unfolded_forward``, is the forward written the direct way, one
+function from the static frame to the output: it pools the queries itself,
+projects every frame token into model space and then through wk and wv, and
+computes every [query; text] row in every layer.  Both must agree to 1e-12.
 """
 
 import numpy as np
 import pytest
 
 import tdc
-from tdc import kernels, qformer
+from tdc import qformer
 
-from conftest import EDGES, split_heads
-
-
-def merge_heads(x):
-    *lead, h, n, dh = x.shape
-    return np.moveaxis(x, -3, -2).reshape(*lead, n, h * dh)
-
-
-def norm(x, t, prefix):
-    return kernels.layer_norm(x, t[prefix + ".gamma"], t[prefix + ".beta"])[0]
-
-
-def attention(q_in, kv_in, t, prefix, heads):
-    q = split_heads(q_in @ t[prefix + ".wq"], heads)
-    k = split_heads(kv_in @ t[prefix + ".wk"], heads)
-    v = split_heads(kv_in @ t[prefix + ".wv"], heads)
-    probs = kernels.softmax_rows(q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]))
-    return merge_heads(probs @ v) @ t[prefix + ".wo"]
-
-
-def unfolded_forward(params, static, visual, audio, text=None):
-    cfg, t = params.cfg, params.tensors
-    k = cfg.queries
-    kv = qformer.project(params, visual, audio)
-    ids = list(text.ids) if cfg.text_conditioning and text is not None else []
-    pooled = kernels.pool_matrix(len(static), k) @ static if cfg.query_type == "avgpool" else None
-    q = t["learned_queries"] if pooled is None else pooled @ t["visual_proj"]
-    rows = np.vstack([q, t["text_embed"][ids]])
-    x = np.broadcast_to(rows, kv.shape[:-2] + rows.shape).copy()
-    for i in range(cfg.layers):
-        p = f"layers.{i}."
-        h = norm(x, t, p + "self_norm")
-        x = x + attention(h, h, t, p + "self", cfg.heads)
-        x[..., :k, :] += attention(norm(x[..., :k, :], t, p + "cross_norm"), kv, t, p + "cross", cfg.heads)
-        h = norm(x, t, p + "ffn_norm")
-        x = x + kernels.gelu(h @ t[p + "ffn.w1"] + t[p + "ffn.b1"]) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
-    return norm(x[..., :k, :], t, "final_norm")
+from conftest import EDGES, unfolded_forward
 
 
 @pytest.mark.parametrize("frames", [(), (3,)], ids=["frame", "stack"])

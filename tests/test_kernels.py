@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from tdc import kernels
-from tdc.errors import ArgumentError, DegenerateInputError, ShapeError
+from tdc.errors import ArgumentError, DegenerateInputError
 from tdc.segmenter import frame_similarities
 from tdc.timeline import VideoTimeline
 
@@ -100,11 +100,6 @@ def test_gelu_and_layer_norm_in_one_buffer_are_their_formulas_and_leave_read_onl
     np.testing.assert_array_equal(out, xhat * gamma + beta)
     np.testing.assert_array_equal(cache[0], xhat)
     np.testing.assert_array_equal(cache[1], inv)
-
-
-def test_layer_norm_length_mismatch():
-    with pytest.raises(ShapeError):
-        kernels.layer_norm(np.zeros((2, 3)), np.ones(2), np.zeros(3))
 
 
 def test_gelu_fixed_points():

@@ -63,9 +63,19 @@ def test_split_spans_partition_properties(seconds, segments):
         assert b == a
 
 
+class RecordingMock(tdc.MockAnswerer):
+    def __init__(self, script):
+        super().__init__(script)
+        self.prompts = []
+
+    def answer(self, prompt, stream):
+        self.prompts.append(prompt)
+        return super().answer(prompt, stream)
+
+
 def test_golden_trace_with_mock_answerer():
     tl = small_timeline(90, boundaries=(30, 60), seed=9)
-    mock = tdc.MockAnswerer(["A", "B", "C", "D"])
+    mock = RecordingMock(["A", "B", "C", "D"])
     trace = tdc.run_lvcot(tl, "who scores first?", mock, tdc.LVCoTConfig(segments=3), small_context())
     assert trace.spans == ((0, 30), (30, 60), (60, 90))
     assert trace.segment_answers == ("A", "B", "C")
@@ -74,7 +84,10 @@ def test_golden_trace_with_mock_answerer():
     for tag in ("[0s-30s]: A", "[30s-60s]: B", "[60s-90s]: C"):
         assert tag in trace.final_prompt
     assert "who scores first?" in trace.final_prompt
-    assert "who scores first?" in trace.segment_prompt
+    # every span goes with the same prompt, which asks the question; the last call gets the final prompt
+    span_prompt, *rest = mock.prompts
+    assert rest == [span_prompt, span_prompt, trace.final_prompt]
+    assert "who scores first?" in span_prompt
 
 
 def test_trace_is_deterministic():

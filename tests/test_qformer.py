@@ -448,10 +448,13 @@ def test_checkpoint_is_its_header_then_its_tensors_in_canonical_order(tmp_path):
         (tdc.QFormerConfig(), "audio_proj", (31, 64), r"^tensor 'audio_proj' is \(31, 64\), the config expects \(32, 64\)$"),
         (tdc.QFormerConfig(), "layers.0.ffn.b1", (255,), r"^tensor 'layers.0.ffn.b1' is \(255,\), the config expects \(256,\)$"),
         (tdc.QFormerConfig(), "layers.1.cross.wo", None, r"^tensor 'layers.1.cross.wo' is missing, the config expects \(64, 64\)$"),
+        # layer_norm takes gamma and beta as given: this check is the only one of their length
+        (tiny_config(), "layers.0.self_norm.gamma", (7,), r"^tensor 'layers.0.self_norm.gamma' is \(7,\), the config expects \(8,\)$"),
     ],
     ids=[
         "missing", "extra", "transposed", "sep-more-rows", "sep-fewer-rows", "sep-other-width",
         "one-query-too-many", "short-text-embed", "short-audio-proj", "short-ffn-bias", "missing-layer-1",
+        "short-norm-gamma",
     ],
 )
 def test_params_that_do_not_fit_the_config_are_a_shape_error_when_made(cfg, name, shape, match):
@@ -520,6 +523,18 @@ def test_checkpoint_parse_errors(tmp_path):
     bad.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncatedPayloadError):
         tdc.load_params(bad)
+
+
+@pytest.mark.parametrize("i, field", enumerate(qformer.PARAMS_HEADER), ids=qformer.PARAMS_HEADER)
+def test_checkpoint_cut_inside_a_header_field_is_truncated_at_that_field(tmp_path, i, field):
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config()), path)
+    at = 4 + 4 + 1 + 1 + 4 * i  # magic, version, query type, text flag, the u32 fields before it
+    bad = tmp_path / "cut.tdcp"
+    bad.write_bytes(path.read_bytes()[: at + 2])
+    with pytest.raises(TruncatedPayloadError, match=rf"^file ends inside {field} \(byte offset {at}\)$") as err:
+        tdc.load_params(bad)
+    assert err.value.offset == at
 
 
 def test_checkpoint_vocab_other_than_1024_is_format_error(tmp_path):

@@ -36,7 +36,7 @@ def test_instruction_tokens_reject_out_of_vocab():
 
 
 def test_instruction_tokens_are_capped():
-    assert len(tdc.tokenize_text(" ".join(["w"] * MAX_INSTRUCTION_TOKENS))) == MAX_INSTRUCTION_TOKENS
+    assert len(tdc.tokenize_text(" ".join(["w"] * MAX_INSTRUCTION_TOKENS)).ids) == MAX_INSTRUCTION_TOKENS
     with pytest.raises(ArgumentError, match=f"257 tokens, more than {MAX_INSTRUCTION_TOKENS}"):
         tdc.tokenize_text(" ".join(["w"] * (MAX_INSTRUCTION_TOKENS + 1)))
 
