@@ -79,12 +79,25 @@ class WindowPlan:
 
 @dataclass(frozen=True, eq=False)
 class TDCStream:
-    """Ordered compressed token sequence with per-token provenance."""
+    """Ordered compressed token sequence with per-token provenance, refused with a NumericError
+    naming the first row past float32 range; its four arrays are then frozen in place, not copied."""
 
     tokens: np.ndarray  # (n, model_dim) float64
     provenance: np.ndarray  # (n,) uint8, Provenance codes
     frame_index: np.ndarray  # (n,) int32, -1 for separators
     window_index: np.ndarray  # (n,) int32
+
+    def __post_init__(self):
+        for start in range(0, len(self), CHUNK_ROWS):
+            ok = (np.abs(self.tokens[start : start + CHUNK_ROWS]) < FLOAT32_OVERFLOW).all(axis=1)
+            if not ok.all():
+                row = start + int(np.argmin(ok))
+                frame = int(self.frame_index[row])
+                where = "the separator" if frame < 0 else f"frame {frame}"
+                problem = "is not finite" if not np.isfinite(self.tokens[row]).all() else "overflows float32"
+                raise NumericError(f"stream token {row} from {where} {problem}")
+        for arr in (self.tokens, self.provenance, self.frame_index, self.window_index):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -127,7 +140,7 @@ def assemble_tdc(
     the plan's row count into which each block is written as it is made.
 
     Raises ShapeError if the plan and the timeline differ in frame count, and
-    NumericError, naming the first frame, if any token is not finite.
+    NumericError, naming the first frame, if a token is not finite or overflows float32.
     """
     if plan.partition.frame_count != tl.frame_count:
         raise ShapeError(f"plan covers {plan.partition.frame_count} frames, timeline has {tl.frame_count}")
@@ -135,18 +148,17 @@ def assemble_tdc(
     visual, audio = tl.visual_tokens, tl.audio_tokens
     m, k, d = visual.shape[1] + audio.shape[1], params.cfg.queries, params.cfg.model_dim
     n = sum(window.rows(m, k) for window in plan.windows)
-    stream = TDCStream(np.empty((n, d)), np.empty(n, np.uint8), np.empty(n, np.int32), np.empty(n, np.int32))
+    tokens, provenance, frames, windows = np.empty((n, d)), np.empty(n, np.uint8), np.empty(n, np.int32), np.empty(n, np.int32)
     at = 0
-    # a non-finite input is reported once, by the stream check below
+    # a non-finite input is reported once, by the stream that the rows make
     with np.errstate(invalid="ignore", over="ignore"):
         for w, window in enumerate(plan.windows):
             for frame, code, block in _window_blocks(params, visual, audio, window, text):
                 rows = slice(at, at + len(block))
-                stream.tokens[rows], stream.provenance[rows] = block, code
-                stream.frame_index[rows], stream.window_index[rows] = frame, w
+                tokens[rows], provenance[rows] = block, code
+                frames[rows], windows[rows] = frame, w
                 at = rows.stop
-    _check_rows(stream, np.inf)
-    return stream
+    return TDCStream(tokens, provenance, frames, windows)
 
 
 def _window_blocks(params, visual, audio, window: Window, text):
@@ -162,18 +174,6 @@ def _window_blocks(params, visual, audio, window: Window, text):
         yield f, Provenance.DYNAMIC, qformer.forward(params, queries, visual[f], audio[f])
 
 
-def _check_rows(stream: TDCStream, limit: float) -> None:
-    """Raise NumericError naming the first token row, CHUNK_ROWS at a time, not finite or of magnitude >= limit."""
-    for start in range(0, len(stream), CHUNK_ROWS):
-        ok = (np.abs(stream.tokens[start : start + CHUNK_ROWS]) < limit).all(axis=1)
-        if not ok.all():
-            row = start + int(np.argmin(ok))
-            frame = int(stream.frame_index[row])
-            where = "the separator" if frame < 0 else f"frame {frame}"
-            problem = "is not finite" if not np.isfinite(stream.tokens[row]).all() else "overflows float32"
-            raise NumericError(f"stream token {row} from {where} {problem}")
-
-
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:
     """Exact per-window and total token counts versus the dense baseline."""
     m = tl.visual_tokens_per_frame + tl.audio_tokens_per_frame
@@ -186,10 +186,9 @@ def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig
 def write_stream(stream: TDCStream, path) -> None:
     """Serialize the token matrix with a one-byte-per-token provenance channel.
 
-    Raises NumericError, and writes nothing, if a token is not finite or
-    overflows float32; the tokens are then cast and written in row chunks.
+    A stream holds only tokens that float32 keeps finite, so the tokens are
+    cast and written in row chunks with no check of their own.
     """
-    _check_rows(stream, FLOAT32_OVERFLOW)
     with write_container(path, STREAM_MAGIC, STREAM_VERSION) as w:
         w.u32(len(stream))
         w.u32(stream.tokens.shape[1])

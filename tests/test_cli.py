@@ -431,19 +431,34 @@ def test_compress_nonfinite_token_is_numeric_and_writes_nothing(capsys, tmp_path
     assert not out.exists()
 
 
-def test_compress_float32_overflow_is_numeric_and_writes_nothing(capsys, tmp_path):
+def big_token_file(tmp_path):
     # a finite static token near the float32 limit projects past it
     tl = tdc.synth_generate(tdc.SynthSpec(seed=1, frames=3))
     visual = tl.visual_tokens.copy()
     visual[0, 0, :] = 3e38
     path = tmp_path / "big.tdcf"
     tdc.write_tdcf(tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors), path)
+    return path
+
+
+def test_compress_float32_overflow_is_numeric_and_writes_nothing(capsys, tmp_path):
+    path = big_token_file(tmp_path)
     out = tmp_path / "s.tdcs"
     code, _, err = run(capsys, "compress", "--input", str(path), "--output", str(out))
     assert code == 3
     assert "overflows float32" in err and "frame 0" in err
     assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("segments", ["1", "3"])
+def test_lvcot_float32_overflow_is_numeric(capsys, tmp_path, segments):
+    # refused where the stream is made, as compress refuses it
+    path = big_token_file(tmp_path)
+    code, _, err = run(capsys, "lvcot", "--input", str(path), "--text", "q", "--segments", segments)
+    assert code == 3
+    assert "segment 0" in err and "overflows float32" in err and "frame 0" in err
+    assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
 
 
 def test_lvcot_nonfinite_token_is_numeric(capsys, tmp_path):

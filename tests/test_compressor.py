@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import tdc
 from tdc import compressor, kernels, qformer
+from tdc.binio import FLOAT32_OVERFLOW
 from tdc.compressor import Provenance
 from tdc.errors import ArgumentError, NumericError, ShapeError
 from tdc.segmenter import ScenePartition
@@ -495,10 +496,11 @@ def test_stream_file_round_trip(tmp_path):
     np.testing.assert_array_equal(tokens, stream.tokens.astype(np.float32))
 
 
-def chunked_stream(rows, dim=3, seed=0):
-    """A hand-built stream of ``rows`` random tokens, frame i on row i."""
+def stream_of(tokens):
+    """A hand-built stream of the rows of ``tokens``, frame i on row i."""
+    rows = len(tokens)
     return tdc.TDCStream(
-        tokens=np.random.default_rng(seed).standard_normal((rows, dim)),
+        tokens=tokens,
         provenance=np.full(rows, Provenance.DYNAMIC, dtype=np.uint8),
         frame_index=np.arange(rows, dtype=np.int32),
         window_index=np.zeros(rows, dtype=np.int32),
@@ -507,7 +509,7 @@ def chunked_stream(rows, dim=3, seed=0):
 
 def test_stream_of_more_than_two_chunks_round_trips(tmp_path):
     # two whole row chunks and a partial third
-    stream = chunked_stream(2 * compressor.CHUNK_ROWS + 37)
+    stream = stream_of(np.random.default_rng(0).standard_normal((2 * compressor.CHUNK_ROWS + 37, 3)))
     path = tmp_path / "s.tdcs"
     tdc.write_stream(stream, path)
     tokens, prov = tdc.read_stream(path)
@@ -515,14 +517,44 @@ def test_stream_of_more_than_two_chunks_round_trips(tmp_path):
     np.testing.assert_array_equal(prov, stream.provenance)
 
 
-def test_overflow_in_the_last_chunk_writes_no_file(tmp_path):
-    stream = chunked_stream(2 * compressor.CHUNK_ROWS + 37)
-    row = len(stream) - 2
-    stream.tokens[row, 1] = -1e39
-    path = tmp_path / "s.tdcs"
+def test_overflow_in_the_last_chunk_is_refused_when_the_stream_is_made():
+    tokens = np.random.default_rng(0).standard_normal((2 * compressor.CHUNK_ROWS + 37, 3))
+    row = len(tokens) - 2
+    tokens[row, 1] = -1e39
     with pytest.raises(NumericError, match=f"^stream token {row} from frame {row} overflows float32$"):
-        tdc.write_stream(stream, path)
-    assert not path.exists()
+        stream_of(tokens)
+
+
+@pytest.mark.parametrize(
+    "bad, problem",
+    [(np.nan, "is not finite"), (-np.inf, "is not finite"), (1e39, "overflows float32"),
+     (FLOAT32_OVERFLOW, "overflows float32")],
+    ids=["nan", "-inf", "1e39", "limit"],
+)
+def test_a_token_past_float32_range_is_refused_when_the_stream_is_made(bad, problem):
+    tokens = np.ones((5, 3))
+    tokens[3, 2] = bad
+    with pytest.raises(NumericError, match=f"^stream token 3 from frame 3 {problem}$"):
+        stream_of(tokens)
+
+
+def test_the_largest_token_below_the_float32_limit_is_kept(tmp_path):
+    top = np.nextafter(FLOAT32_OVERFLOW, 0.0)
+    stream = stream_of(np.array([[top, -top]]))
+    path = tmp_path / "s.tdcs"
+    tdc.write_stream(stream, path)
+    tokens, _ = tdc.read_stream(path)
+    big = np.finfo(np.float32).max
+    assert stream.tokens.tolist() == [[top, -top]] and tokens.tolist() == [[big, -big]]
+
+
+@pytest.mark.parametrize("name", ["tokens", "provenance", "frame_index", "window_index"])
+def test_a_stream_freezes_its_arrays_in_place(name):
+    tl, params, plan = small_setup()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(tdc.assemble_tdc(tl, plan, params), name)[0] = 0
+    tokens = np.ones((2, 3))
+    assert stream_of(tokens).tokens is tokens and not tokens.flags.writeable
 
 
 def traced(fn):
