@@ -4,7 +4,7 @@ import pytest
 import tdc
 from tdc import kernels
 from tdc.compressor import Provenance
-from tdc.errors import ArgumentError, NumericError, OrchestrationError
+from tdc.errors import ArgumentError, DegenerateInputError, NumericError, OrchestrationError
 
 
 class CountingEcho(tdc.EchoAnswerer):
@@ -150,6 +150,17 @@ def test_nonfinite_stream_never_reaches_the_answerer():
     with pytest.raises(NumericError, match=r"segment 1 \(6s-12s.*frame 3 "):
         tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=2), small_context())
     assert echo.calls == 1  # only the finite first span was answered
+
+
+def test_zero_descriptor_names_its_segment_and_keeps_its_class():
+    tl = small_timeline(12, seed=8)
+    desc = tl.descriptors.copy()
+    desc[9] = 0.0
+    tl = tdc.VideoTimeline(tl.visual_tokens, tl.audio_tokens, desc)
+    echo = CountingEcho()
+    with pytest.raises(DegenerateInputError, match=r"^segment 1 \(6s-12s.*: frame 3 has a zero-norm descriptor$"):
+        tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=2), small_context())
+    assert echo.calls == 1
 
 
 def test_question_feeds_text_conditioning():
