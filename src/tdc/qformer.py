@@ -61,8 +61,11 @@ class QFormerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.heads < 1 or self.model_dim < 1:
-            raise ArgumentError(f"model_dim {self.model_dim} and heads {self.heads} must be >= 1")
+        # each message begins with the field at fault, by which load_params locates it
+        if self.model_dim < 1:
+            raise ArgumentError(f"model_dim must be >= 1, got {self.model_dim}")
+        if self.heads < 1:
+            raise ArgumentError(f"heads must be >= 1, got {self.heads}")
         if self.model_dim % self.heads != 0:
             raise ArgumentError(
                 f"heads ({self.heads}) must divide model_dim ({self.model_dim})"
@@ -73,8 +76,10 @@ class QFormerConfig:
             raise ArgumentError(f"queries must be >= 1, got {self.queries}")
         if self.query_type not in QUERY_TYPES:
             raise ArgumentError(f"query_type must be one of {QUERY_TYPES}, got {self.query_type!r}")
-        if self.visual_dim < 1 or self.audio_dim < 0:
-            raise ArgumentError(f"visual_dim {self.visual_dim} must be >= 1, audio_dim {self.audio_dim} >= 0")
+        if self.visual_dim < 1:
+            raise ArgumentError(f"visual_dim must be >= 1, got {self.visual_dim}")
+        if self.audio_dim < 0:
+            raise ArgumentError(f"audio_dim must be >= 0, got {self.audio_dim}")
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
@@ -671,8 +676,9 @@ def load_params(path) -> QFormerParams:
             raise FormatError(f"text vocabulary {vocab} is not {VOCAB_SIZE}", at["vocab"])
         try:
             cfg = QFormerConfig(**header, query_type=QUERY_TYPES[query_type_idx], text_conditioning=bool(text_flag))
-        except ArgumentError as exc:
-            raise FormatError(f"invalid config header: {exc}", header_offset) from exc
+        except ArgumentError as exc:  # its message begins with the field at fault
+            field = str(exc).split()[0]
+            raise FormatError(f"invalid config header: {exc}", at.get(field, header_offset)) from exc
         with np.errstate(invalid="ignore"):  # a signalling NaN parses like any NaN, setting no invalid flag
             tensors = {
                 name: r.array(shape, "<f4", f"tensor {name!r}").astype(np.float64)

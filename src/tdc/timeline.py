@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import ByteReader, ByteWriter, read_container, write_container
+from .binio import FLOAT32_OVERFLOW, ByteReader, ByteWriter, read_container, write_container
 from .errors import ArgumentError, FormatError, ShapeError
 
 MAGIC = b"TDCF"
@@ -197,7 +197,8 @@ def _descriptor_centers(rng: np.random.Generator, n_scenes: int, dim: int) -> np
 
 
 def synth_generate(spec: SynthSpec) -> VideoTimeline:
-    """Generate a timeline with planted scene structure, deterministic per recipe."""
+    """Generate a timeline with planted scene structure, deterministic per recipe.
+    Raises ArgumentError if the noise puts a generated value past float32 range."""
     partition = ScenePartition(spec.frames, spec.boundaries)
     t_total, dim = spec.frames, spec.dim
     rng = np.random.default_rng(spec.seed)
@@ -211,15 +212,20 @@ def synth_generate(spec: SynthSpec) -> VideoTimeline:
     visual = np.empty((t_total, spec.visual_tokens, dim))
     audio = np.empty((t_total, spec.audio_tokens, dim))
     desc = np.empty((t_total, dim))
-    for s, (start, stop) in enumerate(partition.scenes):
-        for t in range(start, stop):
-            visual[t] = centers_v[s] + token_offsets_v + spec.noise * rng.standard_normal(
-                (spec.visual_tokens, dim)
-            )
-            audio[t] = centers_a[s] + token_offsets_a + spec.noise * rng.standard_normal(
-                (spec.audio_tokens, dim)
-            )
-            desc[t] = centers_d[s] + spec.noise * rng.standard_normal(dim)
+    with np.errstate(over="ignore"):  # a value past float32 range is refused below
+        for s, (start, stop) in enumerate(partition.scenes):
+            for t in range(start, stop):
+                visual[t] = centers_v[s] + token_offsets_v + spec.noise * rng.standard_normal(
+                    (spec.visual_tokens, dim)
+                )
+                audio[t] = centers_a[s] + token_offsets_a + spec.noise * rng.standard_normal(
+                    (spec.audio_tokens, dim)
+                )
+                desc[t] = centers_d[s] + spec.noise * rng.standard_normal(dim)
+    # the timeline stores float32, whose cast would turn such a value into inf
+    peak = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (visual, audio, desc))
+    if not peak < FLOAT32_OVERFLOW:
+        raise ArgumentError(f"noise {spec.noise} puts generated tokens past float32 range")
     return VideoTimeline(visual, audio, desc)
 
 
@@ -245,16 +251,14 @@ def _read_stream(r: ByteReader, expected_tag: int, frames: int, what: str) -> np
     if tag != expected_tag:
         raise FormatError(f"expected stream tag {expected_tag} ({what}), found {tag}", tag_offset)
     tokens = r.u32(f"{what} tokens-per-frame")
+    if expected_tag == 2 and tokens != 1:
+        raise FormatError(f"descriptor stream must have 1 token per frame, found {tokens}", tag_offset + 1)
     dim_offset = r.offset
     dim = r.u32(f"{what} dim")
     if tokens and not dim:  # rows the file holds no bytes for
         raise FormatError(f"{what} stream has {tokens} tokens per frame of dim 0", dim_offset)
     data = r.array((frames, tokens, dim), "<f4", f"{what} payload")
-    if expected_tag == 2:
-        if tokens != 1:
-            raise FormatError(f"descriptor stream must have 1 token per frame, found {tokens}", tag_offset)
-        return data.reshape(frames, dim)
-    return data
+    return data.reshape(frames, dim) if expected_tag == 2 else data
 
 
 def read_tdcf(path) -> VideoTimeline:

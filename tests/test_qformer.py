@@ -537,6 +537,27 @@ def test_checkpoint_cut_inside_a_header_field_is_truncated_at_that_field(tmp_pat
     assert err.value.offset == at
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [("heads", 3, r"heads \(3\) must divide model_dim \(8\)"), ("model_dim", 0, "model_dim must be >= 1"),
+     ("heads", 0, "heads must be >= 1"), ("layers", 0, "layers must be >= 1"),
+     ("queries", 0, "queries must be >= 1"), ("visual_dim", 0, "visual_dim must be >= 1")],
+    ids=["heads-not-dividing", "model_dim-0", "heads-0", "layers-0", "queries-0", "visual_dim-0"],
+)
+def test_checkpoint_config_error_is_reported_at_its_field(tmp_path, field, value, problem):
+    path = tmp_path / "p.tdcp"
+    tdc.save_params(tdc.init_params(tiny_config()), path)  # model_dim 8, heads 2
+    raw = bytearray(path.read_bytes())
+    at = 4 + 4 + 1 + 1 + 4 * qformer.PARAMS_HEADER.index(field)  # magic, version, two flags, the fields before it
+    assert {"model_dim": 10, "heads": 14, "layers": 18, "queries": 22, "visual_dim": 30}[field] == at
+    raw[at : at + 4] = value.to_bytes(4, "little")
+    bad = tmp_path / "bad.tdcp"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"^invalid config header: {problem}") as err:
+        tdc.load_params(bad)
+    assert err.value.offset == at
+
+
 def test_checkpoint_vocab_other_than_1024_is_format_error(tmp_path):
     path = tmp_path / "p.tdcp"
     tdc.save_params(tdc.init_params(tiny_config()), path)

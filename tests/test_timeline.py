@@ -138,3 +138,17 @@ def test_tdcf_parse_errors_carry_offsets(tmp_path):
     bad.write_bytes(raw + b"\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         tdc.read_tdcf(bad)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_tdcf_descriptor_count_is_refused_at_its_field(tmp_path, count):
+    path = tmp_path / "t.tdcf"
+    tdc.write_tdcf(tdc.synth_generate(tdc.SynthSpec(seed=0, frames=2, dim=4)), path)
+    raw = path.read_bytes()
+    tokens_at = len(raw) - 2 * 4 * 4 - 8  # the descriptor stream's tokens field: two frames of dim 4 follow
+    assert raw[tokens_at - 1 : tokens_at + 4] == bytes([2]) + (1).to_bytes(4, "little")
+    bad = tmp_path / "bad.tdcf"
+    bad.write_bytes(raw[:tokens_at] + count.to_bytes(4, "little") + raw[tokens_at + 4 :])
+    with pytest.raises(FormatError, match=f"^descriptor stream must have 1 token per frame, found {count}") as err:
+        tdc.read_tdcf(bad)
+    assert type(err.value) is FormatError and err.value.offset == tokens_at
