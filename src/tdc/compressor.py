@@ -11,7 +11,10 @@ timeline order; no separator is inserted between windows.  A window builds
 its queries once and compresses each dynamic frame with one
 ``qformer.forward``; a window without dynamic frames builds none.
 The stream is one buffer sized from the plan, which a checked ``QFormerParams``
-fills exactly, block by block; ``write_stream`` writes it in row chunks.
+fills exactly, block by block.  A ``TDCStream`` is checked once, when it is
+made, against the float32 range of the TDCS file, and then frozen; so
+``write_stream`` only casts and writes it in row chunks, and ``read_stream``
+refuses a token that no stream holds.
 """
 
 from __future__ import annotations
@@ -198,13 +201,19 @@ def write_stream(stream: TDCStream, path) -> None:
 
 
 def read_stream(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (tokens float32 (n, dim), provenance uint8 (n,))."""
+    """Read back (tokens float32 (n, dim), provenance uint8 (n,)), refusing
+    what no stream holds: a token that is not finite or an unknown provenance code."""
     with read_container(path, STREAM_MAGIC, STREAM_VERSION) as r:
         count = r.u32("token count")
         dim = r.u32("token dim")
         if count and not dim:  # such rows take no bytes, so any count would fit the file
             raise FormatError(f"{count} tokens of dim 0", r.offset - 4)
+        tokens_at = r.offset
         tokens = r.array((count, dim), "<f4", "token payload")
+        bad = np.flatnonzero(~np.isfinite(tokens))  # in float32, the same rule as a stream's
+        if bad.size:
+            at = int(bad[0])
+            raise FormatError(f"token {at // dim} holds {tokens.flat[at]}, which is not finite", tokens_at + 4 * at)
         prov_at = r.offset
         prov = r.array((count,), "u1", "provenance payload")
         bad = np.flatnonzero(prov >= len(Provenance))

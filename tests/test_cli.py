@@ -40,7 +40,10 @@ def test_gen_is_bitwise_deterministic(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "option", ["--noise=nan", "--noise=inf", "--noise=-inf", "--noise=-1", "--dims=0", "--dims=-1"]
+    "option",
+    ["--noise=nan", "--noise=inf", "--noise=-inf", "--noise=-1", "--dims=0", "--dims=-1",
+     # finite, but the generated tokens overflow float32 (the second is the largest float64)
+     "--noise=1e300", "--noise=1.7976931348623157e+308"],
 )
 def test_gen_bad_value_is_one_usage_error_line(capsys, tmp_path, option):
     path = tmp_path / "t.tdcf"
@@ -459,6 +462,21 @@ def test_lvcot_float32_overflow_is_numeric(capsys, tmp_path, segments):
     assert code == 3
     assert "segment 0" in err and "overflows float32" in err and "frame 0" in err
     assert err.startswith("tdc: numeric error:") and err.count("\n") == 1
+
+
+def test_lvcot_zero_descriptor_names_its_segment(capsys, tmp_path):
+    tl = tdc.synth_generate(tdc.SynthSpec(seed=7, frames=24, boundaries=(8, 16), dim=8))
+    desc = tl.descriptors.copy()
+    desc[13] = 0.0
+    path = tmp_path / "z.tdcf"
+    tdc.write_tdcf(tdc.VideoTimeline(tl.visual_tokens, tl.audio_tokens, desc), path)
+    code, _, err = run(capsys, "lvcot", "--input", str(path), "--k", "4", "--text", "what")
+    assert code == 3
+    # frame 13 is frame 5 of span 1, [8, 16)
+    assert err == (
+        "tdc: numeric error: segment 1 (8s-16s, frames counted from its start): "
+        "frame 5 has a zero-norm descriptor\n"
+    )
 
 
 def test_lvcot_nonfinite_token_is_numeric(capsys, tmp_path):

@@ -528,8 +528,8 @@ def test_overflow_in_the_last_chunk_is_refused_when_the_stream_is_made():
 @pytest.mark.parametrize(
     "bad, problem",
     [(np.nan, "is not finite"), (-np.inf, "is not finite"), (1e39, "overflows float32"),
-     (FLOAT32_OVERFLOW, "overflows float32")],
-    ids=["nan", "-inf", "1e39", "limit"],
+     (FLOAT32_OVERFLOW, "overflows float32"), (-FLOAT32_OVERFLOW, "overflows float32")],
+    ids=["nan", "-inf", "1e39", "limit", "-limit"],
 )
 def test_a_token_past_float32_range_is_refused_when_the_stream_is_made(bad, problem):
     tokens = np.ones((5, 3))
@@ -540,12 +540,12 @@ def test_a_token_past_float32_range_is_refused_when_the_stream_is_made(bad, prob
 
 def test_the_largest_token_below_the_float32_limit_is_kept(tmp_path):
     top = np.nextafter(FLOAT32_OVERFLOW, 0.0)
-    stream = stream_of(np.array([[top, -top]]))
+    stream = stream_of(np.array([[top, -top, 0.0]]))
     path = tmp_path / "s.tdcs"
     tdc.write_stream(stream, path)
     tokens, _ = tdc.read_stream(path)
     big = np.finfo(np.float32).max
-    assert stream.tokens.tolist() == [[top, -top]] and tokens.tolist() == [[big, -big]]
+    assert stream.tokens.tolist() == [[top, -top, 0.0]] and tokens.tolist() == [[big, -big, 0.0]]
 
 
 @pytest.mark.parametrize("name", ["tokens", "provenance", "frame_index", "window_index"])
