@@ -174,7 +174,7 @@ def _window_blocks(params, visual, audio, window: Window, text):
     if window.dynamic_frames:
         queries = qformer.build_queries(params, visual[s], text)
     for f in window.dynamic_frames:
-        yield f, Provenance.DYNAMIC, qformer.forward(params, queries, visual[f], audio[f])
+        yield f, Provenance.DYNAMIC, qformer.forward(params, queries, visual[f], audio[f])[0]
 
 
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:

@@ -3,7 +3,8 @@
 All kernels compute in 64-bit IEEE-754 regardless of input dtype, return
 fresh float64 arrays and never mutate their inputs.  Row-wise kernels work
 on the last axis, so a stack of matrices (..., rows, cols) is one call.
-layer_norm takes gamma and beta as given: a checked ``QFormerParams``
+layer_norm returns (output, cache) and gelu (output, t): what layer_norm_grad
+and gelu_grad read, so neither gradient recomputes its forward.  layer_norm takes gamma and beta as given: a checked ``QFormerParams``
 already holds them at the row width, as layer_norm_grad assumes.
 """
 
@@ -64,29 +65,25 @@ def layer_norm_grad(dy, cache, gamma):
     return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
 
 
-def _gelu_tanh(a: np.ndarray) -> np.ndarray:
-    """tanh(sqrt(2/pi)*(x + 0.044715*x^3)) in one fresh buffer, multiplying out the cube: numpy's pow is ~50x slower."""
-    out = a * a
-    out *= a
-    out *= _GELU_A
-    out += a
-    out *= _GELU_C
-    return np.tanh(out, out=out)
-
-
-def gelu(m) -> np.ndarray:
-    """Elementwise gelu: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+def gelu(m) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise gelu: (0.5*x*(1 + t), t) with t = tanh(sqrt(2/pi)*(x + 0.044715*x^3)), the t
+    that gelu_grad reads.  The cube is multiplied out: numpy's pow is ~50x slower."""
     a = np.asarray(m, dtype=np.float64)
-    out = _gelu_tanh(a)
-    out += 1.0
+    t = a * a
+    t *= a
+    t *= _GELU_A
+    t += a
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
     out *= 0.5  # exact, as 0.5*x is for x not subnormal: the bits of 0.5*x*(1 + tanh)
-    return np.multiply(out, a, out=out)
+    return np.multiply(out, a, out=out), t
 
 
-def gelu_grad(m) -> np.ndarray:
-    """Elementwise derivative of the tanh-form gelu, 0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x)."""
+def gelu_grad(m, t) -> np.ndarray:
+    """Elementwise derivative of the tanh-form gelu at m, given gelu(m)'s t:
+    0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x)."""
     a = np.asarray(m, dtype=np.float64)
-    t = _gelu_tanh(a)
     out = t * t
     np.subtract(1.0, out, out=out)
     out *= 0.5  # halving 1 - t*t is exact, as halving x is: the bits of 0.5*x*(1 - t*t)
@@ -96,9 +93,9 @@ def gelu_grad(m) -> np.ndarray:
     poly *= a
     poly += 1.0
     out *= poly
-    t += 1.0
-    t *= 0.5
-    return np.add(out, t, out=out)
+    half = t + 1.0
+    half *= 0.5
+    return np.add(out, half, out=out)
 
 
 def contiguous_groups(n: int, k: int) -> tuple[tuple[int, int], ...]:

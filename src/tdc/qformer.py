@@ -221,7 +221,7 @@ class _LayerCache(NamedTuple):
     self_attn: _SelfCache
     query: tuple  # cross-attention's query side: norm cache, normed rows (..., K, d), heads qs (..., H, K, d_h)
     cross: _CrossCache
-    ffn: tuple  # norm cache, normed rows, u = h @ w1 + b1 and gelu(u)
+    ffn: tuple  # norm cache, normed rows, u = h @ w1 + b1, gelu(u) and its tanh t
 
 
 class WindowQueries(NamedTuple):  # what every frame of a window shares, from build_queries
@@ -314,16 +314,16 @@ def _ffn_forward(x, t, prefix):
     """FFN block ``prefix`` of the rows x: (rows out, cache)."""
     h, ln = _norm(x, t, prefix + "ffn_norm")
     u = h @ t[prefix + "ffn.w1"] + t[prefix + "ffn.b1"]
-    g = kernels.gelu(u)
-    return x + g @ t[prefix + "ffn.w2"] + t[prefix + "ffn.b2"], (ln, h, u, g)
+    g, tanh = kernels.gelu(u)
+    return x + g @ t[prefix + "ffn.w2"] + t[prefix + "ffn.b2"], (ln, h, u, g, tanh)
 
 
 def _ffn_backward(d_y, cache, t, prefix, grads):
     """Input gradient of FFN block ``prefix``, residual included; adds its weight gradients into grads."""
-    ln, h, u, g = cache
+    ln, h, u, g, tanh = cache
     grads[prefix + "ffn.w2"] += _weight_grad(g, d_y)
     grads[prefix + "ffn.b2"] += _rows(d_y).sum(axis=0)
-    d_u = (d_y @ t[prefix + "ffn.w2"].T) * kernels.gelu_grad(u)
+    d_u = (d_y @ t[prefix + "ffn.w2"].T) * kernels.gelu_grad(u, tanh)
     grads[prefix + "ffn.w1"] += _weight_grad(h, d_u)
     grads[prefix + "ffn.b1"] += _rows(d_u).sum(axis=0)
     return d_y + _norm_backward(d_u @ t[prefix + "ffn.w1"].T, ln, t, prefix + "ffn_norm", grads)
@@ -430,14 +430,13 @@ def build_queries(params: QFormerParams, static_visual, text=None) -> WindowQuer
     return WindowQueries(pooled, ids, x, self_cache, query, f, text_ffn, w_t, g)
 
 
-def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return_cache=False):
+def forward(params: QFormerParams, queries: WindowQueries, visual, audio) -> tuple[np.ndarray, _ForwardCache]:
     """Compress one frame of a window, visual (m_v, d_v) and audio (m_a, d_a),
     into (K, d); or a stack of its frames (F, m_v, d_v), (F, m_a, d_a) into
-    (F, K, d).
+    (F, K, d).  Returns (output, cache for ``backward``), as every block does.
 
     ``queries`` is the window's ``build_queries``: each frame starts from its
-    rows and score factor at layer 0's cross-attention.  With
-    ``return_cache`` the result is (output, cache) for ``backward``.
+    rows and score factor at layer 0's cross-attention.
     """
     cfg = params.cfg
     t = params.tensors
@@ -462,9 +461,7 @@ def forward(params: QFormerParams, queries: WindowQueries, visual, audio, return
         layer_caches.append(_LayerCache(self_cache, query, cross, ffn))
 
     out, final_ln = _norm(x, t, "final_norm")
-    if return_cache:
-        return out, _ForwardCache(queries, layer_caches, final_ln)
-    return out
+    return out, _ForwardCache(queries, layer_caches, final_ln)
 
 
 def backward(params: QFormerParams, cache: _ForwardCache, upstream) -> dict[str, np.ndarray]:
@@ -536,9 +533,9 @@ def grad_check(cfg: QFormerConfig | None = None, seed: int = 0) -> GradCheckRepo
     static = rng.standard_normal((2 * cfg.queries + 1, cfg.visual_dim))
 
     def loss() -> float:
-        return float(np.sum(upstream * forward(params, build_queries(params, static, text), visual, audio)))
+        return float(np.sum(upstream * forward(params, build_queries(params, static, text), visual, audio)[0]))
 
-    _, cache = forward(params, build_queries(params, static, text), visual, audio, return_cache=True)
+    _, cache = forward(params, build_queries(params, static, text), visual, audio)
     analytic = backward(params, cache, upstream)
 
     per_tensor: dict[str, float] = {}
@@ -622,7 +619,7 @@ def train_step(params: QFormerParams, batch: TrainBatch, lr: float):
     cfg = params.cfg
     with np.errstate(invalid="ignore", over="ignore"):
         queries = build_queries(params, batch.static_visual, batch.text)
-        out, cache = forward(params, queries, batch.dynamic_visual, batch.dynamic_audio, return_cache=True)
+        out, cache = forward(params, queries, batch.dynamic_visual, batch.dynamic_audio)
         err = out.mean(axis=-2) @ batch.readout - batch.target  # (frames, visual_dim)
         loss = float(np.sum(err * err)) / err.size
     if not np.isfinite(loss):

@@ -80,7 +80,7 @@ def unfolded_forward(params, static, visual, audio, text=None):
         x = x + _attention(h, h, t, p + "self", cfg.heads)
         x[..., :k, :] += _attention(_norm(x[..., :k, :], t, p + "cross_norm"), kv, t, p + "cross", cfg.heads)
         h = _norm(x, t, p + "ffn_norm")
-        x = x + kernels.gelu(h @ t[p + "ffn.w1"] + t[p + "ffn.b1"]) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+        x = x + kernels.gelu(h @ t[p + "ffn.w1"] + t[p + "ffn.b1"])[0] @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
     return _norm(x[..., :k, :], t, "final_norm")
 
 

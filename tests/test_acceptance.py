@@ -160,8 +160,8 @@ def test_criterion_06_attention_properties():
             rows = np.vstack([v, a])
             perm = rng.permutation(rows.shape[0])
             shared_queries = tdc.build_queries(queried_shared, None)
-            out1 = tdc.forward(queried_shared, shared_queries, v, a)
-            out2 = tdc.forward(queried_shared, shared_queries, rows[perm][:m_v], rows[perm][m_v:])
+            out1 = tdc.forward(queried_shared, shared_queries, v, a)[0]
+            out2 = tdc.forward(queried_shared, shared_queries, rows[perm][:m_v], rows[perm][m_v:])[0]
             assert np.abs(out1 - out2).max() <= 1e-9
 
             # softmax rows sum to one, including large-magnitude entries
@@ -170,7 +170,7 @@ def test_criterion_06_attention_properties():
             assert np.abs(sums - 1.0).max() <= 1e-9
 
             # convex hull per head, every layer
-            _, cache = tdc.forward(queried, tdc.build_queries(queried, None), v, a, return_cache=True)
+            _, cache = tdc.forward(queried, tdc.build_queries(queried, None), v, a)
             kv = qformer.project(queried, v, a)
             for i in range(len(cache.layers)):
                 vh = split_heads(kv @ queried[f"layers.{i}.cross.wv"], cfg.heads)

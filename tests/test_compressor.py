@@ -151,7 +151,7 @@ def test_build_queries_learned_ignores_static():
     np.testing.assert_array_equal(q1.self_attn.ln[0], ln1[0])
     # so forward ignores the static frame too
     v, a = rng.standard_normal((6, 8)), rng.standard_normal((4, 8))
-    np.testing.assert_array_equal(tdc.forward(params, q1, v, a), tdc.forward(params, q2, v, a))
+    np.testing.assert_array_equal(tdc.forward(params, q1, v, a)[0], tdc.forward(params, q2, v, a)[0])
 
 
 def test_build_queries_rejects_too_few_tokens():
@@ -223,10 +223,10 @@ def test_compress_frame_is_pure_and_text_sensitive():
     v = rng.standard_normal((6, 8))
     a = rng.standard_normal((4, 8))
     queries = tdc.build_queries(params, static)
-    out1 = tdc.forward(params, queries, v, a)
-    out2 = tdc.forward(params, tdc.build_queries(params, static), v, a)
+    out1 = tdc.forward(params, queries, v, a)[0]
+    out2 = tdc.forward(params, tdc.build_queries(params, static), v, a)[0]
     np.testing.assert_array_equal(out1, out2)
-    out_text = tdc.forward(params, tdc.build_queries(params, static, tdc.tokenize_text("find the cat")), v, a)
+    out_text = tdc.forward(params, tdc.build_queries(params, static, tdc.tokenize_text("find the cat")), v, a)[0]
     assert np.abs(out_text - out1).max() > 0.0
 
 
@@ -627,7 +627,7 @@ def test_assemble_and_write_hold_the_stream_plus_one_chunk_and_one_window(
     _, window_set = traced(lambda: (
         qformer.project(params, v, a),
         (window_queries := qformer.build_queries(params, v, text)),
-        qformer.forward(params, window_queries, v, a),
+        qformer.forward(params, window_queries, v, a)[0],
     ))
     # one row chunk as the checks scan it: its float64 magnitudes, their mask and the row mask
     chunk = compressor.CHUNK_ROWS * (9 * d + 1)

@@ -37,7 +37,7 @@ def test_folded_forward_matches_unfolded_reference(layers, query_type, text_cond
         visual = rng.standard_normal(frames + (1 if edge == "one-visual-token" else 8, cfg.visual_dim))
         audio = rng.standard_normal(frames + (audio_tokens, cfg.audio_dim))
         text = tdc.tokenize_text("" if edge == "empty-text" else "where does the dog run")
-        out = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio)
+        out = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio)[0]
         assert out.shape == frames + (cfg.queries, cfg.model_dim), edge
         expected = unfolded_forward(params, static, visual, audio, text)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=edge)

@@ -90,8 +90,11 @@ def test_gelu_and_layer_norm_in_one_buffer_are_their_formulas_and_leave_read_onl
         a.setflags(write=False)
     c, k = math.sqrt(2.0 / math.pi), 0.044715
     t = np.tanh(c * (x + k * (x * x * x)))
-    np.testing.assert_array_equal(kernels.gelu(x), 0.5 * x * (1.0 + t))
-    np.testing.assert_array_equal(kernels.gelu_grad(x), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * k * x * x))
+    out, tanh = kernels.gelu(x)
+    np.testing.assert_array_equal(out, 0.5 * x * (1.0 + t))
+    np.testing.assert_array_equal(tanh, t)
+    tanh.setflags(write=False)
+    np.testing.assert_array_equal(kernels.gelu_grad(x, tanh), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * k * x * x))
     d = shape[-1]
     centered = x - x.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + kernels.LN_EPS)
@@ -103,16 +106,16 @@ def test_gelu_and_layer_norm_in_one_buffer_are_their_formulas_and_leave_read_onl
 
 
 def test_gelu_fixed_points():
-    assert kernels.gelu(np.zeros((1, 1)))[0, 0] == 0.0
-    assert kernels.gelu(np.array([[10.0]]))[0, 0] == pytest.approx(10.0, abs=1e-6)
-    assert kernels.gelu(np.array([[-10.0]]))[0, 0] == pytest.approx(0.0, abs=1e-6)
+    assert kernels.gelu(np.zeros((1, 1)))[0][0, 0] == 0.0
+    assert kernels.gelu(np.array([[10.0]]))[0][0, 0] == pytest.approx(10.0, abs=1e-6)
+    assert kernels.gelu(np.array([[-10.0]]))[0][0, 0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_gelu_grad_matches_finite_differences():
     x = np.linspace(-4, 4, 33)
     h = 1e-6
-    fd = (kernels.gelu(x + h) - kernels.gelu(x - h)) / (2 * h)
-    np.testing.assert_allclose(kernels.gelu_grad(x), fd, atol=1e-8)
+    fd = (kernels.gelu(x + h)[0] - kernels.gelu(x - h)[0]) / (2 * h)
+    np.testing.assert_allclose(kernels.gelu_grad(x, kernels.gelu(x)[1]), fd, atol=1e-8)
 
 
 def test_gelu_and_grad_match_tanh_formula_with_power():
@@ -121,8 +124,9 @@ def test_gelu_and_grad_match_tanh_formula_with_power():
     t = np.tanh(c * (x + a * np.power(x, 3)))
     gelu = 0.5 * x * (1.0 + t)
     grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * np.power(x, 2))
-    np.testing.assert_allclose(kernels.gelu(x), gelu, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(kernels.gelu_grad(x), grad, rtol=1e-13, atol=1e-15)
+    out, tanh = kernels.gelu(x)
+    np.testing.assert_allclose(out, gelu, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(kernels.gelu_grad(x, tanh), grad, rtol=1e-13, atol=1e-15)
 
 
 def test_pool_sizes_near_equal_larger_first():

@@ -64,7 +64,7 @@ def grad_probes(query_type, text_conditioning):
     visual = rng.standard_normal((3, 6, 8))
     audio = rng.standard_normal((3, 4, 8))
     text = tdc.tokenize_text("where is the red ball")
-    out, cache = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio, return_cache=True)
+    out, cache = tdc.forward(params, tdc.build_queries(params, static, text), visual, audio)
     grads = tdc.backward(params, cache, rng.standard_normal(out.shape))
     return np.array([np.sum(g * rng.standard_normal(g.shape)) for g in grads.values()])
 

@@ -48,7 +48,7 @@ def test_forward_shape_contract():
             tdc.build_queries(params, None, tdc.tokenize_text(words)),
             rng.standard_normal((m_v, cfg.visual_dim)),
             rng.standard_normal((m_a, cfg.audio_dim)),
-        )
+        )[0]
         assert out.shape == (cfg.queries, cfg.model_dim)
         assert np.all(np.isfinite(out))
 
@@ -84,8 +84,8 @@ def test_joint_kv_permutation_invariance():
     shuffled = rows[perm]
     params = with_queries(params, q)
     queries = tdc.build_queries(params, None)
-    out1 = tdc.forward(params, queries, v, a)
-    out2 = tdc.forward(params, queries, shuffled[:6], shuffled[6:])
+    out1 = tdc.forward(params, queries, v, a)[0]
+    out2 = tdc.forward(params, queries, shuffled[:6], shuffled[6:])[0]
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
@@ -96,8 +96,8 @@ def test_within_modality_permutation_invariance(default_params):
     v = rng.standard_normal((9, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
     queries = tdc.build_queries(params, None)
-    out1 = tdc.forward(params, queries, v, a)
-    out2 = tdc.forward(params, queries, v[rng.permutation(9)], a[rng.permutation(5)])
+    out1 = tdc.forward(params, queries, v, a)[0]
+    out2 = tdc.forward(params, queries, v[rng.permutation(9)], a[rng.permutation(5)])[0]
     np.testing.assert_allclose(out1, out2, atol=1e-9)
 
 
@@ -107,8 +107,8 @@ def test_query_order_equivariance():
     q, v, a = random_inputs(cfg, seed=6)
     perm = np.array([2, 0, 3, 1])
     params, params_perm = with_queries(params, q), with_queries(params, q[perm])
-    out = tdc.forward(params, tdc.build_queries(params, None), v, a)
-    out_perm = tdc.forward(params_perm, tdc.build_queries(params_perm, None), v, a)
+    out = tdc.forward(params, tdc.build_queries(params, None), v, a)[0]
+    out_perm = tdc.forward(params_perm, tdc.build_queries(params_perm, None), v, a)[0]
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
 
@@ -124,8 +124,8 @@ def test_zeroed_value_and_ffn_output_weights_reduce_to_ln_of_queries():
     text = tdc.tokenize_text("some instruction words")
     params = with_queries(params, q)
     queries = tdc.build_queries(params, None, text)
-    out1 = tdc.forward(params, queries, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)))
-    out2 = tdc.forward(params, queries, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)))
+    out1 = tdc.forward(params, queries, rng.standard_normal((10, 32)), rng.standard_normal((6, 32)))[0]
+    out2 = tdc.forward(params, queries, rng.standard_normal((4, 32)), rng.standard_normal((9, 32)))[0]
     # residual-only reference: the final norm applied to the raw queries
     ref, _ = kernels.layer_norm(q, params["final_norm.gamma"], params["final_norm.beta"])
     np.testing.assert_allclose(out1, ref, atol=1e-12)
@@ -136,8 +136,8 @@ def test_text_conditioning_changes_output():
     cfg = tiny_config(text_conditioning=True)
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg, seed=8)
-    out_off = tdc.forward(params, tdc.build_queries(params, v, None), v, a)
-    out_on = tdc.forward(params, tdc.build_queries(params, v, tdc.tokenize_text("watch the dog")), v, a)
+    out_off = tdc.forward(params, tdc.build_queries(params, v, None), v, a)[0]
+    out_on = tdc.forward(params, tdc.build_queries(params, v, tdc.tokenize_text("watch the dog")), v, a)[0]
     assert np.abs(out_on - out_off).max() > 0.0
 
 
@@ -147,7 +147,7 @@ def test_convex_hull_of_cross_attention_heads(default_params):
     params = with_queries(default_params, rng.standard_normal((cfg.queries, cfg.model_dim)))
     v = rng.standard_normal((8, cfg.visual_dim))
     a = rng.standard_normal((5, cfg.audio_dim))
-    _, cache = tdc.forward(params, tdc.build_queries(params, None), v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, None), v, a)
     kv = qformer.project(params, v, a)
     for i in range(len(cache.layers)):
         # each head's values, and its context before the output projection
@@ -161,7 +161,7 @@ def test_zero_upstream_gives_zero_bundle():
     cfg = tiny_config()
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg)
-    _, cache = tdc.forward(params, tdc.build_queries(params, v), v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, v), v, a)
     grads = tdc.backward(params, cache, np.zeros((cfg.queries, cfg.model_dim)))
     assert grads.keys() == params.tensors.keys()
     assert all(np.all(g == 0.0) for g in grads.values())
@@ -172,7 +172,7 @@ def test_unused_learned_queries_get_zero_gradient():
     params = tdc.init_params(cfg)
     _, v, a = random_inputs(cfg, seed=11)
     up = np.random.default_rng(12).standard_normal((cfg.queries, cfg.model_dim))
-    _, cache = tdc.forward(params, tdc.build_queries(params, v), v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, v), v, a)
     grads = tdc.backward(params, cache, up)
     assert np.all(grads["learned_queries"] == 0.0)
     assert np.abs(grads["visual_proj"]).max() > 0.0
@@ -199,7 +199,7 @@ def test_backward_without_audio_tokens(query_type, m_v, m_a, audio_dim, audio_wi
     v = rng.standard_normal(frames + (m_v, cfg.visual_dim))
     audio = rng.standard_normal(frames + (m_a, audio_width))
     queries = tdc.build_queries(params, static, tdc.tokenize_text("no sound"))
-    out, cache = tdc.forward(params, queries, v, audio, return_cache=True)
+    out, cache = tdc.forward(params, queries, v, audio)
     grads = tdc.backward(params, cache, rng.standard_normal(out.shape))
     assert out.shape == frames + (cfg.queries, cfg.model_dim)
     assert {n: g.shape for n, g in grads.items()} == {n: t.shape for n, t in params.tensors.items()}
@@ -225,12 +225,12 @@ def test_frame_stack_matches_single_frames(query_type):
     text = tdc.tokenize_text("find the red ball")
 
     queries = tdc.build_queries(params, static, text)
-    out, cache = tdc.forward(params, queries, v, a, return_cache=True)
+    out, cache = tdc.forward(params, queries, v, a)
     stacked = tdc.backward(params, cache, up)
     assert out.shape == (3, cfg.queries, cfg.model_dim)
     singles = []
     for f in range(3):
-        out_f, cache_f = tdc.forward(params, queries, v[f], a[f], return_cache=True)
+        out_f, cache_f = tdc.forward(params, queries, v[f], a[f])
         np.testing.assert_allclose(out[f], out_f, rtol=0, atol=1e-12)
         singles.append(tdc.backward(params, cache_f, up[f]))
     for name in params.tensors:
@@ -240,6 +240,20 @@ def test_frame_stack_matches_single_frames(query_type):
     assert np.abs(stacked["text_embed"]).max() > 0.0
     with pytest.raises(ShapeError):
         tdc.backward(params, cache, up[0])
+
+
+def test_backward_reads_the_gelu_tanh_its_forward_kept(monkeypatch):
+    # three FFN blocks (the text rows', and each layer's of the frames) take
+    # gelu_grad from the tanh in their caches: backward computes no tanh
+    cfg = tiny_config(layers=2, text_conditioning=True)
+    params = tdc.init_params(cfg)
+    rng = np.random.default_rng(16)
+    queries = tdc.build_queries(params, rng.standard_normal((5, cfg.visual_dim)), tdc.tokenize_text("count the calls"))
+    out, cache = tdc.forward(params, queries, rng.standard_normal((3, 6, cfg.visual_dim)), rng.standard_normal((3, 4, cfg.audio_dim)))
+    tanh, calls = np.tanh, []
+    monkeypatch.setattr(np, "tanh", lambda *args, **kwargs: calls.append(args[0].shape) or tanh(*args, **kwargs))
+    tdc.backward(params, cache, rng.standard_normal(out.shape))
+    assert calls == []
 
 
 @pytest.mark.parametrize("audio_tokens", [0, 5])
@@ -259,9 +273,9 @@ def test_frame_stack_rows_equal_single_frames_bitwise(layers, query_type, text_c
         queries = tdc.build_queries(params, rng.standard_normal((5, cfg.visual_dim)), text)
         v = rng.standard_normal((4, 1 if edge == "one-visual-token" else 6, cfg.visual_dim))
         a = rng.standard_normal((4, audio_tokens, cfg.audio_dim))
-        stacked = tdc.forward(params, queries, v, a)
+        stacked = tdc.forward(params, queries, v, a)[0]
         for f in range(4):
-            np.testing.assert_array_equal(tdc.forward(params, queries, v[f], a[f]), stacked[f], err_msg=edge)
+            np.testing.assert_array_equal(tdc.forward(params, queries, v[f], a[f])[0], stacked[f], err_msg=edge)
 
 
 def test_grad_check_passes_and_is_deterministic():
@@ -322,9 +336,9 @@ def test_avgpool_query_path_gradient_matches_finite_differences():
     up = rng.standard_normal((3, cfg.queries, cfg.model_dim))
 
     def loss():
-        return float(np.sum(up * tdc.forward(params, tdc.build_queries(params, static), v, a)))
+        return float(np.sum(up * tdc.forward(params, tdc.build_queries(params, static), v, a)[0]))
 
-    _, cache = tdc.forward(params, tdc.build_queries(params, static), v, a, return_cache=True)
+    _, cache = tdc.forward(params, tdc.build_queries(params, static), v, a)
     analytic = tdc.backward(params, cache, up)["visual_proj"]
 
     w = params.tensors["visual_proj"]
@@ -361,7 +375,7 @@ def test_train_step_leaves_its_params_alone_and_shares_no_array_with_them(query_
     new_params, _ = tdc.train_step(params, batch, 0.05)
     # oracle: the gradient of the same loss, taken apart from the step
     queries = qformer.build_queries(params, batch.static_visual, batch.text)
-    out, cache = qformer.forward(params, queries, batch.dynamic_visual, batch.dynamic_audio, return_cache=True)
+    out, cache = qformer.forward(params, queries, batch.dynamic_visual, batch.dynamic_audio)
     err = out.mean(axis=-2) @ batch.readout - batch.target
     d_out = np.broadcast_to((2.0 / (err.size * cfg.queries)) * (err @ batch.readout.T)[:, None, :], out.shape)
     grads = qformer.backward(params, cache, d_out)
