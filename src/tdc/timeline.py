@@ -5,8 +5,9 @@ A timeline holds, for each of T seconds (one frame per second): a visual
 token matrix, an audio token matrix, and a single descriptor vector used
 only for inter-frame similarity.  Token data lives in float32 (the storage
 dtype): read_tdcf reads each payload straight into a frozen float32 array
-that VideoTimeline keeps, other arrays are cast and frozen in one copy, and
-numeric code converts to float64 only the frames it reads.  A ScenePartition
+that VideoTimeline keeps, other arrays are cast and frozen in one copy (a
+finite value past float32 range is refused, by index; NaN and inf are kept),
+and numeric code converts to float64 only the frames it reads.  A ScenePartition
 cuts [0, T) into scenes; the segmenter finds one from the descriptors, and
 the synthetic generator plants one.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import FLOAT32_OVERFLOW, ByteReader, ByteWriter, read_container, write_container
+from .binio import ByteReader, ByteWriter, read_container, write_container
 from .errors import ArgumentError, FormatError, ShapeError
 
 MAGIC = b"TDCF"
@@ -46,6 +47,7 @@ DEFAULT_NOISE = 0.01
 # attention memory grows with its square: with the default config, 256 words
 # peak at about 13 MiB
 MAX_INSTRUCTION_TOKENS = 256
+_INTP_MAX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,13 @@ class InstructionTokens:
 
 
 def tokenize_text(s: str) -> InstructionTokens:
-    """Deterministically hash whitespace-split words into [0, 1024)."""
-    ids = tuple(zlib.crc32(w.encode("utf-8")) % VOCAB_SIZE for w in s.split())
+    """Deterministically hash whitespace-split words into [0, 1024).  A word that
+    UTF-8 cannot encode, such as the lone surrogate that an undecodable argv byte
+    becomes, is an ArgumentError naming it."""
+    try:
+        ids = tuple(zlib.crc32(w.encode("utf-8")) % VOCAB_SIZE for w in s.split())
+    except UnicodeEncodeError as exc:
+        raise ArgumentError(f"instruction word {exc.object!r} is not UTF-8 text") from exc
     return InstructionTokens(ids)
 
 
@@ -81,9 +88,14 @@ class VideoTimeline:
         for name in ("visual_tokens", "audio_tokens", "descriptors"):
             arr = getattr(self, name)
             if arr.dtype != np.float32 or arr.flags.writeable:
-                arr = arr.astype(np.float32)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                with np.errstate(over="ignore"):  # the cast takes a finite |x| >= FLOAT32_OVERFLOW to inf
+                    cast = arr.astype(np.float32)
+                past = np.isinf(cast) & np.isfinite(arr)
+                if past.any():
+                    at = tuple(int(i) for i in np.unravel_index(past.argmax(), past.shape))
+                    raise ArgumentError(f"{name}{list(at)} = {arr[at]} is past float32 range")
+                cast.flags.writeable = False
+                object.__setattr__(self, name, cast)
         v, a, d = self.visual_tokens, self.audio_tokens, self.descriptors
         if v.ndim != 3 or a.ndim != 3 or d.ndim != 2:
             raise ShapeError(
@@ -198,9 +210,14 @@ def _descriptor_centers(rng: np.random.Generator, n_scenes: int, dim: int) -> np
 
 def synth_generate(spec: SynthSpec) -> VideoTimeline:
     """Generate a timeline with planted scene structure, deterministic per recipe.
-    Raises ArgumentError if the noise puts a generated value past float32 range."""
+    Raises ArgumentError, before anything is allocated, for a float64 array past any
+    address space, and if the noise puts a generated value past float32 range."""
     partition = ScenePartition(spec.frames, spec.boundaries)
     t_total, dim = spec.frames, spec.dim
+    # numpy refuses these with a ValueError: a dimension or a byte count past intp
+    for shape in ((t_total, spec.visual_tokens, dim), (t_total, spec.audio_tokens, dim), (t_total, dim)):
+        if max(shape) > _INTP_MAX or 8 * math.prod(shape) > _INTP_MAX:
+            raise ArgumentError(f"a float64 array of shape {shape} is past any address space")
     rng = np.random.default_rng(spec.seed)
     centers_d = _descriptor_centers(rng, partition.scene_count, dim)
 
@@ -212,7 +229,7 @@ def synth_generate(spec: SynthSpec) -> VideoTimeline:
     visual = np.empty((t_total, spec.visual_tokens, dim))
     audio = np.empty((t_total, spec.audio_tokens, dim))
     desc = np.empty((t_total, dim))
-    with np.errstate(over="ignore"):  # a value past float32 range is refused below
+    with np.errstate(over="ignore"):  # a value past float32 range is VideoTimeline's to refuse
         for s, (start, stop) in enumerate(partition.scenes):
             for t in range(start, stop):
                 visual[t] = centers_v[s] + token_offsets_v + spec.noise * rng.standard_normal(
@@ -222,11 +239,10 @@ def synth_generate(spec: SynthSpec) -> VideoTimeline:
                     (spec.audio_tokens, dim)
                 )
                 desc[t] = centers_d[s] + spec.noise * rng.standard_normal(dim)
-    # the timeline stores float32, whose cast would turn such a value into inf
-    peak = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (visual, audio, desc))
-    if not peak < FLOAT32_OVERFLOW:
-        raise ArgumentError(f"noise {spec.noise} puts generated tokens past float32 range")
-    return VideoTimeline(visual, audio, desc)
+    try:
+        return VideoTimeline(visual, audio, desc)
+    except ArgumentError as exc:  # the one refusal of these shapes: a value past float32 range
+        raise ArgumentError(f"noise {spec.noise} puts generated tokens past float32 range: {exc}") from exc
 
 
 def _write_stream(w: ByteWriter, tag: int, data: np.ndarray) -> None:

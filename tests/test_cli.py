@@ -56,15 +56,22 @@ def test_gen_bad_value_is_one_usage_error_line(capsys, tmp_path, option):
 
 def test_allocation_the_machine_refuses_is_one_usage_line(capsys, tmp_path):
     # 10**12 frames of 144 visual tokens of dim 8 in float64 is 8 PiB, beyond any
-    # x86-64 address space: refused under every overcommit mode, no memory touched
+    # x86-64 address space: refused under every overcommit mode, no memory touched;
+    # the others have a byte count or a dimension past intp, refused before numpy sees them
     path = tmp_path / "x.tdcf"
-    code = main(["gen", "--output", str(path), "--frames", "1000000000000", "--dims", "8"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("tdc: usage error:") and captured.err.count("\n") == 1
-    assert "(1000000000000, 144, 8)" in captured.err
-    assert captured.out == ""
-    assert not path.exists()
+    for frames, dims, shape in [
+        ("1000000000000", "8", "(1000000000000, 144, 8)"),
+        ("100000000000000000", "8", "(100000000000000000, 144, 8)"),
+        ("18446744073709551616", "32", "(18446744073709551616, 144, 32)"),
+        ("60", "18446744073709551616", "(60, 144, 18446744073709551616)"),
+    ]:
+        code = main(["gen", "--output", str(path), "--frames", frames, "--dims", dims])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("tdc: usage error:") and captured.err.count("\n") == 1
+        assert shape in captured.err
+        assert captured.out == ""
+        assert not path.exists()
 
 
 def test_segment_record(capsys, tmp_path):
@@ -207,6 +214,20 @@ def test_negative_seed_is_one_usage_line(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "tdc: usage error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "lvcot"])
+def test_text_that_utf8_cannot_encode_is_one_usage_line(capsys, tmp_path, command):
+    # argv decodes the byte 0xff of `--text $'caf\xff'` to the lone surrogate U+DCFF
+    path = gen_file(capsys, tmp_path, frames=24, boundaries="8,16")
+    out = tmp_path / "s.tdcs"
+    argv = [command, "--input", str(path), "--text", "the caf\udcff", "--k", "4"]
+    code = main(argv + (["--output", str(out)] if command == "compress" else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "tdc: usage error: instruction word 'caf\\udcff' is not UTF-8 text\n"
     assert captured.out == ""
     assert not out.exists()
 

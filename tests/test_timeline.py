@@ -11,6 +11,7 @@ from tdc.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from tdc.binio import FLOAT32_OVERFLOW
 from tdc.timeline import MAX_INSTRUCTION_TOKENS, VOCAB_SIZE
 
 from conftest import random_timeline
@@ -28,6 +29,11 @@ def test_tokenize_repeated_word_hashes_identically():
     ids = tdc.tokenize_text("a b a").ids
     assert len(ids) == 3 and ids[0] == ids[2]
     assert all(0 <= i < VOCAB_SIZE for i in ids)
+
+
+def test_tokenize_refuses_a_word_utf8_cannot_encode():
+    with pytest.raises(ArgumentError, match=r"^instruction word 'b\\ud800' is not UTF-8 text$"):
+        tdc.tokenize_text("a b\ud800 c")
 
 
 def test_instruction_tokens_reject_out_of_vocab():
@@ -91,6 +97,22 @@ def test_timeline_arrays_are_frozen():
     tl = tdc.synth_generate(tdc.SynthSpec(seed=0, frames=2))
     with pytest.raises(ValueError):
         tl.descriptors[0, 0] = 1.0
+
+
+def test_timeline_refuses_a_finite_value_past_float32_range_by_index():
+    # the float32 cast would store inf, with numpy's overflow warning, which the test run makes an error
+    big = np.nextafter(FLOAT32_OVERFLOW, 0.0)  # rounds to the largest float32
+    visual = np.array([[[1.0, -big]], [[np.nan, np.inf]]])
+    audio, desc = np.zeros((2, 0, 3)), np.ones((2, 4))
+    tl = tdc.VideoTimeline(visual, audio, desc)
+    assert tl.visual_tokens[0, 0, 1] == -np.finfo(np.float32).max
+    assert np.isnan(tl.visual_tokens[1, 0, 0]) and tl.visual_tokens[1, 0, 1] == np.inf
+    visual[1, 0, 0] = 1e39
+    with pytest.raises(ArgumentError, match=r"^visual_tokens\[1, 0, 0\] = 1e\+39 is past float32 range$"):
+        tdc.VideoTimeline(visual, audio, desc)
+    visual[1, 0, 0], desc[1, 2] = 0.0, -FLOAT32_OVERFLOW
+    with pytest.raises(ArgumentError, match=r"^descriptors\[1, 2\] = -3.4028235677973366e\+38 is past"):
+        tdc.VideoTimeline(visual, audio, desc)
 
 
 @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 5))
