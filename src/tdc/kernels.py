@@ -4,8 +4,9 @@ All kernels compute in 64-bit IEEE-754 regardless of input dtype, return
 fresh float64 arrays and never mutate their inputs.  Row-wise kernels work
 on the last axis, so a stack of matrices (..., rows, cols) is one call.
 layer_norm returns (output, cache) and gelu (output, t): what layer_norm_grad
-and gelu_grad read, so neither gradient recomputes its forward.  layer_norm takes gamma and beta as given: a checked ``QFormerParams``
-already holds them at the row width, as layer_norm_grad assumes.
+and gelu_grad read, so neither gradient recomputes its forward.  layer_norm
+takes gamma and beta as given: a checked ``QFormerParams`` already holds them
+at the row width, as layer_norm_grad assumes.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ DEFAULT_NOISE = 0.01
 # attention memory grows with its square: with the default config, 256 words
 # peak at about 13 MiB
 MAX_INSTRUCTION_TOKENS = 256
-_INTP_MAX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class VideoTimeline:
         for name in ("visual_tokens", "audio_tokens", "descriptors"):
             arr = getattr(self, name)
             if arr.dtype != np.float32 or arr.flags.writeable:
-                with np.errstate(over="ignore"):  # the cast takes a finite |x| >= FLOAT32_OVERFLOW to inf
+                with np.errstate(over="ignore"):  # the cast takes a finite |x| >= binio.FLOAT32_OVERFLOW to inf
                     cast = arr.astype(np.float32)
                 past = np.isinf(cast) & np.isfinite(arr)
                 if past.any():
@@ -214,9 +213,9 @@ def synth_generate(spec: SynthSpec) -> VideoTimeline:
     address space, and if the noise puts a generated value past float32 range."""
     partition = ScenePartition(spec.frames, spec.boundaries)
     t_total, dim = spec.frames, spec.dim
-    # numpy refuses these with a ValueError: a dimension or a byte count past intp
+    # numpy refuses a byte count past intp with a ValueError; (T, dim), of no 0 axis, holds any axis past it
     for shape in ((t_total, spec.visual_tokens, dim), (t_total, spec.audio_tokens, dim), (t_total, dim)):
-        if max(shape) > _INTP_MAX or 8 * math.prod(shape) > _INTP_MAX:
+        if 8 * math.prod(shape) > np.iinfo(np.intp).max:
             raise ArgumentError(f"a float64 array of shape {shape} is past any address space")
     rng = np.random.default_rng(spec.seed)
     centers_d = _descriptor_centers(rng, partition.scene_count, dim)
