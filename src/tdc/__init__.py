@@ -33,7 +33,6 @@ from .qformer import (
     load_params,
     make_train_batch,
     save_params,
-    small_config,
     train_step,
 )
 from .segmenter import SegmenterConfig, frame_similarities, segment_scenes

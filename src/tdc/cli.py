@@ -20,7 +20,6 @@ from .errors import (
     EXIT_ORCHESTRATION,
     EXIT_USAGE,
     ArgumentError,
-    DegenerateInputError,
     FormatError,
     NumericError,
     OrchestrationError,
@@ -213,16 +212,14 @@ def _cmd_lvcot(args) -> dict:
 
 def _cmd_gradcheck(args) -> dict:
     report = qformer.grad_check(seed=args.seed)
-    if not report.passed:
-        raise NumericError(
-            f"gradient check failed: max relative error {report.max_relative_error:.3e}"
-        )
+    if not report.max_relative_error <= qformer.GRAD_CHECK_THRESHOLD:
+        raise NumericError(f"gradient check failed: max relative error {report.max_relative_error:.3e}")
     return {
         "seed": args.seed,
         "max_relative_error": report.max_relative_error,
         "threshold": qformer.GRAD_CHECK_THRESHOLD,
-        "passed": report.passed,
-        "per_tensor": {k: float(v) for k, v in report.per_tensor.items()},
+        "passed": True,
+        "per_tensor": report.per_tensor,
     }
 
 
@@ -241,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, OSError) as exc:
         print(f"tdc: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, ShapeError, DegenerateInputError) as exc:
+    except (NumericError, ShapeError) as exc:
         print(f"tdc: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OrchestrationError as exc:

@@ -10,11 +10,11 @@ compressed tokens per dynamic frame in frame order.  Windows follow
 timeline order; no separator is inserted between windows.  A window builds
 its queries once and compresses each dynamic frame with one
 ``qformer.forward``; a window without dynamic frames builds none.
-The stream is one buffer sized from the plan, which a checked ``QFormerParams``
-fills exactly, block by block.  A ``TDCStream`` is checked once, when it is
-made, against the float32 range of the TDCS file, and then frozen; so
-``write_stream`` only casts and writes it in row chunks, and ``read_stream``
-refuses a token that no stream holds.
+The stream is one buffer of the rows ``token_budget`` counts, which a
+checked ``QFormerParams`` fills exactly, block by block.  A ``TDCStream`` is
+checked once, when it is made, against the float32 range of the TDCS file,
+and then frozen; so ``write_stream`` only casts and writes it in row chunks,
+and ``read_stream`` refuses a token that no stream holds.
 """
 
 from __future__ import annotations
@@ -53,13 +53,9 @@ class Window:
     def dynamic_frames(self) -> range:
         return range(self.static_frame + 1, self.stop)
 
-    @property
-    def frame_count(self) -> int:
-        return self.stop - self.static_frame
-
     def rows(self, m: int, k: int) -> int:
         """Stream rows: the static frame's m visual and audio tokens, one separator, K per dynamic frame."""
-        return m + 1 + (self.frame_count - 1) * k
+        return m + 1 + len(self.dynamic_frames) * k
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def assemble_tdc(
     text: InstructionTokens | None = None,
 ) -> TDCStream:
     """Build the full compressed stream for a planned timeline, in one buffer of
-    the plan's row count into which each block is written as it is made.
+    ``token_budget``'s total rows into which each block is written as it is made.
 
     Raises ShapeError if the plan and the timeline differ in frame count, and
     NumericError, naming the first frame, if a token is not finite or overflows float32.
@@ -149,8 +145,7 @@ def assemble_tdc(
         raise ShapeError(f"plan covers {plan.partition.frame_count} frames, timeline has {tl.frame_count}")
     # float32 frames: project and forward convert what they read
     visual, audio = tl.visual_tokens, tl.audio_tokens
-    m, k, d = visual.shape[1] + audio.shape[1], params.cfg.queries, params.cfg.model_dim
-    n = sum(window.rows(m, k) for window in plan.windows)
+    n, d = token_budget(tl, plan, params.cfg).total, params.cfg.model_dim
     tokens, provenance, frames, windows = np.empty((n, d)), np.empty(n, np.uint8), np.empty(n, np.int32), np.empty(n, np.int32)
     at = 0
     # a non-finite input is reported once, by the stream that the rows make

@@ -14,12 +14,9 @@ class ArgumentError(ValueError):
     """A structurally valid value violates an operation's precondition."""
 
 
-class DegenerateInputError(ValueError):
-    """Input is numerically degenerate (e.g. a zero-norm vector)."""
-
-
 class NumericError(ArithmeticError):
-    """A computation produced a non-finite result."""
+    """A computation produced a non-finite result, or its input has none
+    (such as a zero-norm descriptor, whose cosine similarity is undefined)."""
 
 
 class OrchestrationError(RuntimeError):

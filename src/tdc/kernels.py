@@ -1,12 +1,13 @@
 """Dense numeric kernels used by every other module.
 
-All kernels compute in 64-bit IEEE-754 regardless of input dtype, return
-fresh float64 arrays and never mutate their inputs.  Row-wise kernels work
-on the last axis, so a stack of matrices (..., rows, cols) is one call.
-layer_norm returns (output, cache) and gelu (output, t): what layer_norm_grad
-and gelu_grad read, so neither gradient recomputes its forward.  layer_norm
-takes gamma and beta as given: a checked ``QFormerParams`` already holds them
-at the row width, as layer_norm_grad assumes.
+Kernels take their arrays as given, with no cast or check: the model hands
+them float64 (it converts frame tokens at its edge, and a checked
+``QFormerParams`` holds float64 tensors, norms at the row width), so they
+compute in 64-bit IEEE-754.  They return fresh arrays and never mutate their
+inputs.  Row-wise kernels work on the last axis, so a stack of matrices
+(..., rows, cols) is one call.  layer_norm returns (output, cache) and gelu
+(output, t): what layer_norm_grad and gelu_grad read, so neither gradient
+recomputes its forward.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ def softmax_rows(m) -> np.ndarray:
     Every output row is nonnegative and sums to 1 to within 1e-9 even for
     inputs with entries of magnitude ~1e4.
     """
-    a = np.asarray(m, dtype=np.float64)
-    # one fresh buffer: subtract, exp and divide in place, never touching a
-    out = a - a.max(axis=-1, keepdims=True)
+    # one fresh buffer: subtract, exp and divide in place, never touching m
+    out = m - m.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -42,9 +42,8 @@ def layer_norm(m, gamma, beta):
     Returns (output, cache); the cache (normalized rows, per-row reciprocal
     standard deviation) is what layer_norm_grad needs.
     """
-    a = np.asarray(m, dtype=np.float64)
-    d = a.shape[-1]  # each row mean as sum / d: np.mean's own arithmetic without its Python wrapper
-    xhat = a - a.sum(axis=-1, keepdims=True) / d
+    d = m.shape[-1]  # each row mean as sum / d: np.mean's own arithmetic without its Python wrapper
+    xhat = m - m.sum(axis=-1, keepdims=True) / d
     out = xhat * xhat
     inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
@@ -69,29 +68,27 @@ def layer_norm_grad(dy, cache, gamma):
 def gelu(m) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise gelu: (0.5*x*(1 + t), t) with t = tanh(sqrt(2/pi)*(x + 0.044715*x^3)), the t
     that gelu_grad reads.  The cube is multiplied out: numpy's pow is ~50x slower."""
-    a = np.asarray(m, dtype=np.float64)
-    t = a * a
-    t *= a
+    t = m * m
+    t *= m
     t *= _GELU_A
-    t += a
+    t += m
     t *= _GELU_C
     np.tanh(t, out=t)
     out = t + 1.0
     out *= 0.5  # exact, as 0.5*x is for x not subnormal: the bits of 0.5*x*(1 + tanh)
-    return np.multiply(out, a, out=out), t
+    return np.multiply(out, m, out=out), t
 
 
 def gelu_grad(m, t) -> np.ndarray:
     """Elementwise derivative of the tanh-form gelu at m, given gelu(m)'s t:
     0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x)."""
-    a = np.asarray(m, dtype=np.float64)
     out = t * t
     np.subtract(1.0, out, out=out)
     out *= 0.5  # halving 1 - t*t is exact, as halving x is: the bits of 0.5*x*(1 - t*t)
-    out *= a
+    out *= m
     out *= _GELU_C
-    poly = a * (3.0 * _GELU_A)
-    poly *= a
+    poly = m * (3.0 * _GELU_A)
+    poly *= m
     poly += 1.0
     out *= poly
     half = t + 1.0

@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .compressor import CompressionContext, TDCStream
-from .errors import DegenerateInputError, NumericError, OrchestrationError
+from .errors import NumericError, OrchestrationError
 from .kernels import contiguous_groups
 from .timeline import VideoTimeline, tokenize_text
 
@@ -87,10 +87,8 @@ def run_lvcot(
     for i, (start, stop) in enumerate(spans):
         try:
             _, stream = ctx.compress(tl.slice(start, stop), text)
-        except (NumericError, DegenerateInputError) as exc:
-            raise type(exc)(
-                f"segment {i} ({start}s-{stop}s, frames counted from its start): {exc}"
-            ) from exc
+        except NumericError as exc:
+            raise NumericError(f"segment {i} ({start}s-{stop}s, frames counted from its start): {exc}") from exc
         try:
             answers.append(answerer.answer(prompt, stream))
         except OrchestrationError as exc:

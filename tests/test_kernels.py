@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from tdc import kernels
-from tdc.errors import ArgumentError, DegenerateInputError
+from tdc.errors import ArgumentError, NumericError
 from tdc.segmenter import frame_similarities
 from tdc.timeline import VideoTimeline
 
@@ -15,11 +15,11 @@ finite_floats = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_
 
 
 def test_softmax_uniform_row():
-    np.testing.assert_allclose(kernels.softmax_rows([[0.0, 0.0, 0.0]]), [[1 / 3] * 3])
+    np.testing.assert_allclose(kernels.softmax_rows(np.zeros((1, 3))), [[1 / 3] * 3])
 
 
 def test_softmax_direct():
-    np.testing.assert_allclose(kernels.softmax_rows([[math.log(2), 0.0]]), [[2 / 3, 1 / 3]])
+    np.testing.assert_allclose(kernels.softmax_rows(np.array([[math.log(2), 0.0]])), [[2 / 3, 1 / 3]])
 
 
 @given(m=npst.arrays(np.float64, (3, 5), elements=finite_floats), c=finite_floats)
@@ -46,13 +46,13 @@ def test_softmax_of_a_stack_is_the_three_step_formula_and_leaves_its_input():
 
 
 def test_layer_norm_constant_row_is_zero():
-    out, _ = kernels.layer_norm([[5.0, 5.0, 5.0]], np.ones(3), np.zeros(3))
+    out, _ = kernels.layer_norm(np.full((1, 3), 5.0), np.ones(3), np.zeros(3))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_layer_norm_already_normalized():
     # unit variance already: only LN_EPS moves the row
-    out, _ = kernels.layer_norm([[1.0, -1.0]], np.ones(2), np.zeros(2))
+    out, _ = kernels.layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
     np.testing.assert_allclose(out, [[1.0, -1.0]] / np.sqrt(1.0 + kernels.LN_EPS), rtol=0, atol=1e-15)
 
 
@@ -217,7 +217,7 @@ def test_cosine_basic_values():
 
 
 def test_cosine_zero_vector_is_degenerate():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(NumericError, match="^frame 0 has a zero-norm descriptor$"):
         pair_similarity([0.0, 0.0], [1.0, 0.0])
 
 

@@ -4,7 +4,7 @@ import pytest
 import tdc
 from tdc import kernels
 from tdc.compressor import Provenance
-from tdc.errors import ArgumentError, DegenerateInputError, NumericError, OrchestrationError
+from tdc.errors import ArgumentError, NumericError, OrchestrationError
 
 
 class CountingEcho(tdc.EchoAnswerer):
@@ -158,7 +158,7 @@ def test_zero_descriptor_names_its_segment_and_keeps_its_class():
     desc[9] = 0.0
     tl = tdc.VideoTimeline(tl.visual_tokens, tl.audio_tokens, desc)
     echo = CountingEcho()
-    with pytest.raises(DegenerateInputError, match=r"^segment 1 \(6s-12s.*: frame 3 has a zero-norm descriptor$"):
+    with pytest.raises(NumericError, match=r"^segment 1 \(6s-12s.*: frame 3 has a zero-norm descriptor$"):
         tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=2), small_context())
     assert echo.calls == 1
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -281,10 +283,10 @@ def test_frame_stack_rows_equal_single_frames_bitwise(layers, query_type, text_c
 def test_grad_check_passes_and_is_deterministic():
     # the whole model, query path included, in both query modes
     for query_type in qformer.QUERY_TYPES:
-        cfg = qformer.small_config(query_type=query_type)
+        cfg = replace(qformer.GRAD_CHECK_CONFIG, query_type=query_type)
         r1 = tdc.grad_check(cfg, seed=0)
         r2 = tdc.grad_check(cfg, seed=0)
-        assert r1.passed and r1.max_relative_error <= 1e-5, query_type
+        assert r1.max_relative_error <= 1e-5, query_type
         assert r1.per_tensor == r2.per_tensor
         assert r1.per_tensor.keys() == qformer.expected_shapes(cfg).keys()
 
@@ -292,7 +294,7 @@ def test_grad_check_passes_and_is_deterministic():
 def test_grad_check_full_row_layer_feeds_trimmed_last_layer():
     # layer 0 computes every [query; text] row, the last layer only the query
     # rows; criterion 05's one-layer configs never chain the two
-    cfg = qformer.small_config(layers=2, model_dim=8, query_type="avgpool")
+    cfg = replace(qformer.GRAD_CHECK_CONFIG, layers=2, model_dim=8, query_type="avgpool")
     report = tdc.grad_check(cfg, seed=3)
     assert report.max_relative_error <= 1e-5, report.per_tensor
 
@@ -301,7 +303,7 @@ def test_grad_check_full_row_layer_feeds_trimmed_last_layer():
 def test_grad_check_layer_between_first_and_last(query_type):
     # layer 1 computes every row and is not the last: the text rows, which ran
     # layer 0's FFN once for the window, join each frame's rows there
-    cfg = qformer.small_config(layers=3, model_dim=8, query_type=query_type)
+    cfg = replace(qformer.GRAD_CHECK_CONFIG, layers=3, model_dim=8, query_type=query_type)
     assert cfg.text_conditioning
     report = tdc.grad_check(cfg, seed=4)
     assert report.max_relative_error <= 1e-5, report.per_tensor
@@ -318,7 +320,7 @@ def test_grad_check_fault_injection_isolates_tensor(monkeypatch):
 
     monkeypatch.setattr(qformer, "backward", corrupted)
     report = tdc.grad_check(seed=1)
-    assert not report.passed
+    assert report.max_relative_error > qformer.GRAD_CHECK_THRESHOLD
     assert max(report.per_tensor, key=report.per_tensor.get) == "layers.0.ffn.w1"
     others = {k: v for k, v in report.per_tensor.items() if k != "layers.0.ffn.w1"}
     assert max(others.values()) <= 1e-5

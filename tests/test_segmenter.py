@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdc
-from tdc.errors import ArgumentError, DegenerateInputError
+from tdc.errors import ArgumentError, NumericError
 from tdc.segmenter import ScenePartition, select_cuts
 
 from conftest import brute_force_cuts, random_timeline
@@ -33,7 +33,7 @@ def test_similarities_all_ones_for_identical_frames():
 
 def test_similarities_reject_zero_descriptor():
     tl = descriptor_timeline([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(NumericError, match="^frame 1 has a zero-norm descriptor$"):
         tdc.frame_similarities(tl)
 
 
