@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +29,12 @@ from .errors import (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that float() reads as a negative number (-1e-3, -inf) is a value, where argparse takes
+        # only -\d+ and -\d*\.\d+; no tdc option name looks like a number, so no option is lost
+        self._negative_number_matcher = re.compile(r"(-(\d|\.\d).*|-(inf|infinity|nan))\Z", re.I | re.S)
+
     def error(self, message):
         raise ArgumentError(message)
 

@@ -1,4 +1,8 @@
-"""Exception types and process exit codes shared across the package."""
+"""Exception types and process exit codes shared across the package.
+
+One class per idea that an exit code reports: a zero-norm descriptor, whose
+similarity has no finite value, is a NumericError (exit 3) like a NaN is.
+"""
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -15,8 +19,7 @@ class ArgumentError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced a non-finite result, or its input has none
-    (such as a zero-norm descriptor, whose cosine similarity is undefined)."""
+    """A computation produced a non-finite result, or has none (a zero-norm descriptor's similarity)."""
 
 
 class OrchestrationError(RuntimeError):

@@ -636,7 +636,8 @@ def save_params(params: QFormerParams, path) -> None:
 
 
 def load_params(path) -> QFormerParams:
-    """Read a TDCP checkpoint back into float64 parameter tensors."""
+    """Read a TDCP checkpoint back into float64 parameter tensors, refusing a
+    value that is not finite with a FormatError at its bytes."""
     with read_container(path, PARAMS_MAGIC, PARAMS_VERSION) as r:
         header_offset = r.offset
         query_type_idx = r.u8("query type")
@@ -659,9 +660,13 @@ def load_params(path) -> QFormerParams:
         except ArgumentError as exc:  # its message begins with the field at fault
             field = str(exc).split()[0]
             raise FormatError(f"invalid config header: {exc}", at.get(field, header_offset)) from exc
-        with np.errstate(invalid="ignore"):  # a signalling NaN parses like any NaN, setting no invalid flag
-            tensors = {
-                name: r.array(shape, "<f4", f"tensor {name!r}").astype(np.float64)
-                for name, shape in expected_shapes(cfg).items()
-            }
+        tensors = {}
+        for name, shape in expected_shapes(cfg).items():
+            start = r.offset
+            raw = r.array(shape, "<f4", f"tensor {name!r}")
+            bad = np.flatnonzero(~np.isfinite(raw))  # save_params writes none: it is corruption
+            if bad.size:
+                i = int(bad[0])
+                raise FormatError(f"tensor {name!r} holds {raw.flat[i]}, which is not finite", start + 4 * i)
+            tensors[name] = raw.astype(np.float64)
     return QFormerParams(cfg, tensors)

@@ -184,6 +184,8 @@ class SynthSpec:
         ScenePartition(self.frames, self.boundaries)  # checks frames and boundaries
         if self.dim < 1:
             raise ArgumentError(f"dim must be >= 1, got {self.dim}")
+        if self.dim < 2 and self.boundaries:  # unit 1-vectors are ±1: no two scene centers stay apart
+            raise ArgumentError(f"dim must be >= 2 to plant cuts that the segmenter finds, got {self.dim}")
         if not 0.0 <= self.noise < math.inf:
             raise ArgumentError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:

@@ -42,15 +42,20 @@ def test_gen_is_bitwise_deterministic(capsys, tmp_path):
 @pytest.mark.parametrize(
     "option",
     ["--noise=nan", "--noise=inf", "--noise=-inf", "--noise=-1", "--dims=0", "--dims=-1",
+     # a negative value in exponent or infinity form, as its own argument
+     "--noise -1e-3", "--noise -inf",
+     # one dim cannot keep planted scenes apart (--dims 1 alone is valid)
+     "--boundaries=2 --dims=1",
      # finite, but the generated tokens overflow float32 (the second is the largest float64)
      "--noise=1e300", "--noise=1.7976931348623157e+308"],
 )
 def test_gen_bad_value_is_one_usage_error_line(capsys, tmp_path, option):
     path = tmp_path / "t.tdcf"
-    code, _, err = run(capsys, "gen", "--output", str(path), "--frames", "4", option)
+    code, _, err = run(capsys, "gen", "--output", str(path), "--frames", "4", *option.split())
     assert code == 1
     assert err.startswith("tdc: usage error:") and err.count("\n") == 1
     assert ("noise" if "noise" in option else "dim") in err
+    assert "argument" not in err  # the value reached its check: the parser did not refuse it as missing
     assert not path.exists()
 
 
@@ -181,6 +186,15 @@ def test_exit_code_usage(capsys, tmp_path):
     # bad boundary list and an impossible segment count are usage errors too
     assert main(["gen", "--output", str(tmp_path / "x.tdcf"), "--boundaries", "a,b"]) == 1
     assert main(["lvcot", "--input", str(path), "--text", "q", "--segments", "99"]) == 1
+    # a negative value in any form that float() reads is the option's value
+    capsys.readouterr()
+    assert main(["segment", "--input", str(path), "--tau", "-1e-3"]) == 0
+    capsys.readouterr()
+    assert main(["segment", "--input", str(path), "--tau", "-inf"]) == 1
+    assert capsys.readouterr().err == "tdc: usage error: tau must be in [-1, 1], got -inf\n"
+    for value in (["--max-segments", "3"], ["-x"]):  # an option name or a word is still no value
+        assert main(["segment", "--input", str(path), "--tau", *value]) == 1
+        assert capsys.readouterr().err == "tdc: usage error: argument --tau: expected one argument\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -620,13 +621,23 @@ def test_checkpoint_text_flag_other_than_0_or_1_is_format_error(tmp_path):
     assert err.value.offset == flag_at
 
 
-def test_checkpoint_signalling_nan_parses_like_any_nan(tmp_path):
+@pytest.mark.parametrize(
+    "patches, first",
+    [({1: np.nan}, 1), ({1: np.nan, 0: -np.inf}, 0), ({2: SIGNALLING_NAN}, 2)],
+    ids=["nan", "nan-after-inf", "signalling-nan"],
+)
+def test_checkpoint_value_that_is_not_finite_is_format_error_at_its_bytes(tmp_path, patches, first):
+    # save_params writes no such value, so one in a TDCP file is corruption
     path = tmp_path / "p.tdcp"
     tdc.save_params(tdc.init_params(tiny_config()), path)
     raw = bytearray(path.read_bytes())
     at = len(raw) - 8 * tiny_config().model_dim  # final_norm.gamma, then final_norm.beta, end the file
-    raw[at : at + 4] = SIGNALLING_NAN.tobytes()
-    bad = tmp_path / "snan.tdcp"
-    bad.write_bytes(bytes(raw))
-    loaded = tdc.load_params(bad)
-    assert np.isnan(loaded["final_norm.gamma"]).sum() == 1
+    for i, value in patches.items():
+        raw[at + 4 * i : at + 4 * i + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+    message = f"^tensor 'final_norm.gamma' holds {np.float32(patches[first])}, which is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the float64 cast, which a signalling NaN would flag
+        with pytest.raises(FormatError, match=message) as err:
+            tdc.load_params(path)
+    assert err.value.offset == at + 4 * first

@@ -66,6 +66,10 @@ def test_synth_rejects_bad_boundaries():
         tdc.synth_generate(tdc.SynthSpec(frames=10, boundaries=(10,)))
     with pytest.raises(ArgumentError):
         tdc.synth_generate(tdc.SynthSpec(frames=10, boundaries=(4, 4)))
+    # unit 1-vectors are ±1, so one dim cannot keep planted scenes apart; with no cut it can
+    with pytest.raises(ArgumentError, match="^dim must be >= 2 to plant cuts that the segmenter finds, got 1$"):
+        tdc.SynthSpec(frames=12, boundaries=(4, 8), dim=1)
+    assert tdc.synth_generate(tdc.SynthSpec(frames=12, dim=1)).descriptors.shape == (12, 1)
 
 
 def test_synth_planted_cuts_are_global_similarity_minima():
