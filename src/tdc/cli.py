@@ -219,7 +219,7 @@ def _cmd_lvcot(args) -> dict:
 
 def _cmd_gradcheck(args) -> dict:
     report = qformer.grad_check(seed=args.seed)
-    if not report.max_relative_error <= qformer.GRAD_CHECK_THRESHOLD:
+    if not report.max_relative_error <= qformer.GRAD_CHECK_THRESHOLD:  # a NaN error fails too
         raise NumericError(f"gradient check failed: max relative error {report.max_relative_error:.3e}")
     return {
         "seed": args.seed,
