@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import stat
 import struct
 from contextlib import contextmanager
 from typing import BinaryIO, Iterator
@@ -103,7 +105,13 @@ class ByteWriter:
 
 @contextmanager
 def write_container(path, magic: bytes, version: int) -> Iterator[ByteWriter]:
-    """A ByteWriter over a new file at path, the magic and version written."""
+    """A ByteWriter over a new file at path, the magic and version written; a write that fails leaves no file."""
     with open(path, "wb") as f:
-        f.write(magic + struct.pack("<I", version))
-        yield ByteWriter(f)
+        try:
+            f.write(magic + struct.pack("<I", version))
+            yield ByteWriter(f)
+            f.flush()  # so that a write failing at close is a failure of the block too
+        except BaseException:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode) and not os.path.islink(path):  # a device, FIFO or link stays
+                os.unlink(path)
+            raise

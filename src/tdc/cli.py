@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Each subcommand returns its record, and ``main`` prints it on stdout as one
-JSON line whose first key, ``command``, names the subcommand; it then exits
-0.  Failures print a diagnostic on stderr and exit with a documented code:
-1 usage, 2 I/O or file-format, 3 numeric, 4 orchestration.
+Every command line but ``--help`` exits 0 with its record on stdout as one JSON
+line, first key ``command``, and nothing on stderr; or exits 1 usage, 2 I/O or
+file format, 3 numeric or 4 orchestration with nothing on stdout, one
+``tdc: <kind> error:`` line on stderr and no file written.
 """
 
 from __future__ import annotations

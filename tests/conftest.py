@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import tdc
 from tdc import kernels, qformer
@@ -23,6 +24,43 @@ def random_timeline(rng, frames, visual_tokens=6, audio_tokens=4, dim=8):
         rng.standard_normal((frames, audio_tokens, dim)).astype(np.float32),
         rng.standard_normal((frames, dim)).astype(np.float32),
     )
+
+
+def tdcf_fields(tl):
+    """Offsets of the u32 header fields of tl's TDCF file: version, frame count, then each stream's tokens and dim."""
+    fields, at = [4, 8], 12
+    for stream in (tl.visual_tokens, tl.audio_tokens, tl.descriptors):
+        fields += [at + 1, at + 5]  # after the stream's u8 tag
+        at += 9 + stream.nbytes
+    return fields
+
+
+# corruptions of a valid file's bytes `raw`, whose u32 header fields start at the offsets `fields`
+def truncations(raw):
+    return st.integers(0, len(raw) - 1).map(lambda cut: raw[:cut])
+
+
+def bit_flips(raw, fields):
+    # some flips are aimed at a header field, where they change the layout
+    byte = st.one_of(st.sampled_from(fields).flatmap(lambda f: st.integers(f, f + 3)), st.integers(0, len(raw) - 1))
+
+    def flip(at, bit):
+        flipped = bytearray(raw)
+        flipped[at] ^= 1 << bit
+        return bytes(flipped)
+
+    return st.builds(flip, byte, st.integers(0, 7))
+
+
+def u32_overwrites(raw, fields):
+    value = st.one_of(st.sampled_from([0, 1, 2, 1000, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+    def overwrite(at, v):
+        changed = bytearray(raw)
+        changed[at : at + 4] = v.to_bytes(4, "little")
+        return bytes(changed)
+
+    return st.builds(overwrite, st.sampled_from(fields), value)
 
 
 def with_queries(params, queries):
