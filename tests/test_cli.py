@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tdc
@@ -387,67 +387,76 @@ CUT = b"TDCF\x01\x00\x00\x00\x03\x00\x00\x00\x00\x10\x00\x00\x00\x03\x00\x00\x00
 JUNK = b"JUNKJUNKJUNK"
 
 
-@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command_lines(), st.none())
-# a value reaches its check in either form, and a negative one in any form that float() reads
-@example([*GEN, "--noise=nan"], f"{USAGE}noise must be finite and >= 0, got nan\n")
-@example([*GEN, "--noise=inf"], f"{USAGE}noise must be finite and >= 0, got inf\n")
-@example([*GEN, "--noise=-inf"], f"{USAGE}noise must be finite and >= 0, got -inf\n")
-@example([*GEN, "--noise=-1"], f"{USAGE}noise must be finite and >= 0, got -1.0\n")
-@example([*GEN, "--noise", "-1e-3"], f"{USAGE}noise must be finite and >= 0, got -0.001\n")
-@example([*GEN, "--noise", "-inf"], f"{USAGE}noise must be finite and >= 0, got -inf\n")
-@example([*GEN, "--dims=0"], f"{USAGE}dim must be >= 1, got 0\n")
-@example([*GEN, "--dims=-1"], f"{USAGE}dim must be >= 1, got -1\n")
-@example([*GEN, "--boundaries=2", "--dims=1"], f"{USAGE}dim must be >= 2 to plant cuts that the segmenter finds, got 1\n")
-# finite, but the generated tokens overflow float32 (the second is the largest float64)
-@example([*GEN, "--frames=4", "--noise=1e300"], f"{USAGE}noise 1e+300 puts generated tokens past float32 range")
-@example([*GEN, "--frames=4", "--noise=1.7976931348623157e+308"], f"{USAGE}noise 1.7976931348623157e+308 puts")
-@example([*GEN, "--boundaries", "a,b"], f"{USAGE}bad boundary list 'a,b'")
-# a byte count or a dimension past intp is refused before numpy sees it
-@example([*GEN, "--frames", "100000000000000000", "--dims", "8"], f"{USAGE}{PAST}(100000000000000000, 144, 8) is past")
-@example([*GEN, "--frames", "18446744073709551616"], f"{USAGE}{PAST}(18446744073709551616, 144, 32) is past")
-@example([*GEN, "--dims", "18446744073709551616"], f"{USAGE}{PAST}(60, 144, 18446744073709551616) is past")
-@example([*SEGMENT, "--tau", "-1e-3"], "")
-@example([*SEGMENT, "--tau", "-inf"], f"{USAGE}tau must be in [-1, 1], got -inf\n")
-# an option name or a word after an option is still no value
-@example([*SEGMENT, "--tau", "--max-segments", "3"], f"{USAGE}argument --tau: expected one argument\n")
-@example([*SEGMENT, "--tau", "-x"], f"{USAGE}argument --tau: expected one argument\n")
-@example(["frobnicate"], f"{USAGE}argument command: invalid choice: 'frobnicate'")
-@example(["gen"], f"{USAGE}the following arguments are required: --output\n")
-@example([*GEN, "--seed", "x"], f"{USAGE}argument --seed: invalid int value: 'x'\n")
-@example(["gradcheck", "--unknown"], f"{USAGE}unrecognized arguments: --unknown\n")
-@example([*GEN, "--seed", "-1"], SEED)
-@example([*COMPRESS, "--seed", "-1"], SEED)
-@example([*LVCOT, "--seed", "-1"], SEED)
-@example(["gradcheck", "--seed", "-1"], SEED)
-# argv decodes the byte 0xff of `--text $'caf\xff'` to the lone surrogate U+DCFF
-@example([*COMPRESS, "--text", "the caf\udcff"], f"{USAGE}instruction word 'caf\\udcff' is not UTF-8 text\n")
-@example([*LVCOT, "--text", "the caf\udcff"], f"{USAGE}instruction word 'caf\\udcff' is not UTF-8 text\n")
-# sizes are refused before any parameter is built: avgpool queries draw on 16 tokens, learned ones on 18
-@example([*COMPRESS, "--k", "200000"], f"{USAGE}--k 200000 is more than the 16 tokens per frame that avgpool queries")
-@example([*COMPRESS, "--k", "19", "--query-type", "learned"], f"{USAGE}--k 19 is more than the 18 tokens per frame")
-@example([*COMPRESS, "--text", WORDS], f"{USAGE}instruction text has 257 tokens, more than 256\n")
-@example([*LVCOT, "--k", "200000"], f"{USAGE}--k 200000 is more than the 16 tokens per frame")
-@example([*LVCOT, "--text", WORDS], f"{USAGE}instruction text has 257 tokens, more than 256\n")
-@example([*LVCOT, "--segments", "99"], f"{USAGE}cannot split 3 items into 99 groups\n")
-@example([*SEGMENT, "--input", "missing.tdcf"], f"{IO}[Errno 2] No such file or directory: 'missing.tdcf'\n")
-@example([*SEGMENT, "--input", CUT], f"{IO}file ends inside visual payload")
-@example([*SEGMENT, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'")
-@example([*BUDGET, "--input", CUT], f"{IO}file ends inside visual payload")
-@example([*BUDGET, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'")
-@example([*COMPRESS, "--input", CUT], f"{IO}file ends inside visual payload")
-@example([*COMPRESS, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'")
-@example([*LVCOT, "--input", CUT], f"{IO}file ends inside visual payload")
-@example([*LVCOT, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'")
-@example([*LVCOT, "--script", b"[1, "], f"{IO}script file 'file6' is not JSON")
-@example([*LVCOT, "--script", b"\xff\xfe"], f"{IO}script file 'file6' is not UTF-8")
-@example([*LVCOT, "--script", b'{"answers": ["A"]}'], f"{USAGE}script file 'file6' must hold a JSON list of strings\n")
-@example([*LVCOT, "--script", b'["only one"]'], "tdc: orchestration error: segment 1 (1s-2s) failed: mock answer script")
-@example(SEGMENT, "")
-def test_every_command_line_exits_as_documented(tmp_path, monkeypatch, capsys, argv, err_start):
+# hand-listed lines, each with the start of its stderr line ('' for exit 0); a bytes item names a new file
+CASES = [
+    # a value reaches its check in either form, and a negative one in any form that float() reads
+    ([*GEN, "--noise=nan"], f"{USAGE}noise must be finite and >= 0, got nan\n"),
+    ([*GEN, "--noise=inf"], f"{USAGE}noise must be finite and >= 0, got inf\n"),
+    ([*GEN, "--noise=-inf"], f"{USAGE}noise must be finite and >= 0, got -inf\n"),
+    ([*GEN, "--noise=-1"], f"{USAGE}noise must be finite and >= 0, got -1.0\n"),
+    ([*GEN, "--noise", "-1e-3"], f"{USAGE}noise must be finite and >= 0, got -0.001\n"),
+    ([*GEN, "--noise", "-inf"], f"{USAGE}noise must be finite and >= 0, got -inf\n"),
+    ([*GEN, "--dims=0"], f"{USAGE}dim must be >= 1, got 0\n"),
+    ([*GEN, "--dims=-1"], f"{USAGE}dim must be >= 1, got -1\n"),
+    ([*GEN, "--boundaries=2", "--dims=1"], f"{USAGE}dim must be >= 2 to plant cuts that the segmenter finds, got 1\n"),
+    # finite, but the generated tokens overflow float32 (the second is the largest float64)
+    ([*GEN, "--frames=4", "--noise=1e300"], f"{USAGE}noise 1e+300 puts generated tokens past float32 range"),
+    ([*GEN, "--frames=4", "--noise=1.7976931348623157e+308"], f"{USAGE}noise 1.7976931348623157e+308 puts"),
+    ([*GEN, "--boundaries", "a,b"], f"{USAGE}bad boundary list 'a,b'"),
+    # a byte count or a dimension past intp is refused before numpy sees it
+    ([*GEN, "--frames", "100000000000000000", "--dims", "8"], f"{USAGE}{PAST}(100000000000000000, 144, 8) is past"),
+    ([*GEN, "--frames", "18446744073709551616"], f"{USAGE}{PAST}(18446744073709551616, 144, 32) is past"),
+    ([*GEN, "--dims", "18446744073709551616"], f"{USAGE}{PAST}(60, 144, 18446744073709551616) is past"),
+    ([*SEGMENT, "--tau", "-1e-3"], ""),
+    ([*SEGMENT, "--tau", "-inf"], f"{USAGE}tau must be in [-1, 1], got -inf\n"),
+    # an option name or a word after an option is still no value
+    ([*SEGMENT, "--tau", "--max-segments", "3"], f"{USAGE}argument --tau: expected one argument\n"),
+    ([*SEGMENT, "--tau", "-x"], f"{USAGE}argument --tau: expected one argument\n"),
+    (["frobnicate"], f"{USAGE}argument command: invalid choice: 'frobnicate'"),
+    (["gen"], f"{USAGE}the following arguments are required: --output\n"),
+    ([*GEN, "--seed", "x"], f"{USAGE}argument --seed: invalid int value: 'x'\n"),
+    (["gradcheck", "--unknown"], f"{USAGE}unrecognized arguments: --unknown\n"),
+    ([*GEN, "--seed", "-1"], SEED),
+    ([*COMPRESS, "--seed", "-1"], SEED),
+    ([*LVCOT, "--seed", "-1"], SEED),
+    (["gradcheck", "--seed", "-1"], SEED),
+    # argv decodes the byte 0xff of `--text $'caf\xff'` to the lone surrogate U+DCFF
+    ([*COMPRESS, "--text", "the caf\udcff"], f"{USAGE}instruction word 'caf\\udcff' is not UTF-8 text\n"),
+    ([*LVCOT, "--text", "the caf\udcff"], f"{USAGE}instruction word 'caf\\udcff' is not UTF-8 text\n"),
+    # sizes are refused before any parameter is built: avgpool queries draw on 16 tokens, learned ones on 18
+    ([*COMPRESS, "--k", "200000"], f"{USAGE}--k 200000 is more than the 16 tokens per frame that avgpool queries"),
+    ([*COMPRESS, "--k", "19", "--query-type", "learned"], f"{USAGE}--k 19 is more than the 18 tokens per frame"),
+    ([*COMPRESS, "--text", WORDS], f"{USAGE}instruction text has 257 tokens, more than 256\n"),
+    ([*LVCOT, "--k", "200000"], f"{USAGE}--k 200000 is more than the 16 tokens per frame"),
+    ([*LVCOT, "--text", WORDS], f"{USAGE}instruction text has 257 tokens, more than 256\n"),
+    ([*LVCOT, "--segments", "99"], f"{USAGE}cannot split 3 items into 99 groups\n"),
+    ([*SEGMENT, "--input", "missing.tdcf"], f"{IO}[Errno 2] No such file or directory: 'missing.tdcf'\n"),
+    ([*SEGMENT, "--input", CUT], f"{IO}file ends inside visual payload"),
+    ([*SEGMENT, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'"),
+    ([*BUDGET, "--input", CUT], f"{IO}file ends inside visual payload"),
+    ([*BUDGET, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'"),
+    ([*COMPRESS, "--input", CUT], f"{IO}file ends inside visual payload"),
+    ([*COMPRESS, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'"),
+    ([*LVCOT, "--input", CUT], f"{IO}file ends inside visual payload"),
+    ([*LVCOT, "--input", JUNK], f"{IO}expected magic b'TDCF', found b'JUNK'"),
+    ([*LVCOT, "--script", b"[1, "], f"{IO}script file 'file6' is not JSON"),
+    ([*LVCOT, "--script", b"\xff\xfe"], f"{IO}script file 'file6' is not UTF-8"),
+    ([*LVCOT, "--script", b'{"answers": ["A"]}'], f"{USAGE}script file 'file6' must hold a JSON list of strings\n"),
+    ([*LVCOT, "--script", b'["only one"]'], "tdc: orchestration error: segment 1 (1s-2s) failed: mock answer script"),
+    (SEGMENT, ""),
+]
+
+
+def case_id(argv):  # the line without the required options it shares with its subcommand's others
+    required = required_argv(argv[0]) if argv[0] in SUBCOMMANDS else []
+    rest = argv[1 + len(required):] if argv[1:1 + len(required)] == required else argv[1:]
+    return " ".join([argv[0], *(a if isinstance(a, str) else "<file>" for a in rest)])[:60]
+
+
+def exits_as_documented(tmp_path, monkeypatch, capsys, argv):
     """Exit 0 prints one JSON line and nothing on stderr; exits 1-4 print nothing on stdout, one `tdc: <kind>
     error:` line on stderr, and leave every file as it was.  No warning is raised, and the tracemalloc peak
-    stays under 32 MiB.  An example pins the start of its stderr line too (empty for exit 0)."""
+    stays under 32 MiB.  Returns the exit code and the stderr text."""
     monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
     Path("t.tdcf").write_bytes(timeline_bytes())
     Path("dir").mkdir()
@@ -477,5 +486,16 @@ def test_every_command_line_exits_as_documented(tmp_path, monkeypatch, capsys, a
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     if corrupted_input:
         assert code in (0, 2, 3), err  # a corrupted timeline is an i/o or a numeric fault, never a usage one
-    if err_start is not None:
-        assert err.startswith(err_start) and (code == 0) == (err_start == ""), err
+    return code, err
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_every_command_line_exits_as_documented(tmp_path, monkeypatch, capsys, argv):
+    exits_as_documented(tmp_path, monkeypatch, capsys, argv)
+
+
+@pytest.mark.parametrize("argv, err_start", CASES, ids=[case_id(argv) for argv, _ in CASES])
+def test_each_listed_command_line_exits_as_documented(tmp_path, monkeypatch, capsys, argv, err_start):
+    code, err = exits_as_documented(tmp_path, monkeypatch, capsys, argv)
+    assert err.startswith(err_start) and (code == 0) == (err_start == ""), err
