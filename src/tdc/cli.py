@@ -236,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         print(json.dumps({"command": args.command, **args.run(args)}))
         return 0
+    except SystemExit as exc:  # --help printed the help text; argparse reports every other failure through error()
+        return exc.code
     except ArgumentError as exc:
         print(f"tdc: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Stream assembly: window plans, static-token retention, per-frame query
+"""Stream assembly: window plans, static-token retention, stacked query
 compression, separator insertion, and exact token budgets.
 ``CompressionContext.compress`` is the one path from a timeline to a stream.
 A window plan is its scene partition and window length; each window is a run
@@ -8,8 +8,8 @@ Within every window the emitted order is: the static frame's projected
 visual tokens, its projected audio tokens, one separator token, then K
 compressed tokens per dynamic frame in frame order.  Windows follow
 timeline order; no separator is inserted between windows.  A window builds
-its queries once and compresses each dynamic frame with one
-``qformer.forward``; a window without dynamic frames builds none.
+its queries once and compresses its dynamic frames with one ``qformer.forward``
+per run of at most ``STACK_FRAMES`` frames; a window without dynamic frames builds none.
 The stream is one buffer of the rows ``token_budget`` counts, which a
 checked ``QFormerParams`` fills exactly, block by block.  A ``TDCStream`` is
 checked once, when it is made, against the float32 range of the TDCS file,
@@ -35,6 +35,7 @@ STREAM_MAGIC = b"TDCS"
 STREAM_VERSION = 1
 DEFAULT_WINDOW = 8
 CHUNK_ROWS = 1024  # token rows checked, cast and written at a time
+STACK_FRAMES = 8  # at most this many of a window's dynamic frames go through one qformer.forward
 
 
 class Provenance(IntEnum):
@@ -160,16 +161,18 @@ def assemble_tdc(
 
 
 def _window_blocks(params, visual, audio, window: Window, text):
-    """(frame, provenance, block) of each block of a window's rows, in stream order."""
-    s, m_v = window.static_frame, visual.shape[1]
+    """(frames, provenance, block) of each block of a window's rows, in stream order:
+    a DYNAMIC block is one run of at most ``STACK_FRAMES`` frames, with each row's frame."""
+    s, m_v, dynamic = window.static_frame, visual.shape[1], window.dynamic_frames
     static = qformer.project(params, visual[s], audio[s])
     yield s, Provenance.STATIC_VISUAL, static[:m_v]
     yield s, Provenance.STATIC_AUDIO, static[m_v:]
     yield -1, Provenance.SEP, params["sep"]
-    if window.dynamic_frames:
+    if dynamic:
         queries = qformer.build_queries(params, visual[s], text)
-    for f in window.dynamic_frames:
-        yield f, Provenance.DYNAMIC, qformer.forward(params, queries, visual[f], audio[f])[0]
+    for run in (dynamic[i : i + STACK_FRAMES] for i in range(0, len(dynamic), STACK_FRAMES)):
+        block = qformer.forward(params, queries, visual[run.start : run.stop], audio[run.start : run.stop])[0]
+        yield np.repeat(run, block.shape[1]), Provenance.DYNAMIC, block.reshape(-1, block.shape[2])
 
 
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:

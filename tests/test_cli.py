@@ -499,3 +499,12 @@ def test_every_command_line_exits_as_documented(tmp_path, monkeypatch, capsys, a
 def test_each_listed_command_line_exits_as_documented(tmp_path, monkeypatch, capsys, argv, err_start):
     code, err = exits_as_documented(tmp_path, monkeypatch, capsys, argv)
     assert err.startswith(err_start) and (code == 0) == (err_start == ""), err
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in sorted(SUBCOMMANDS)), ["segment", "-h"]], ids=" ".join)
+def test_help_returns_0_with_the_help_text_on_stdout(capsys, argv):
+    # --help is the one command line whose stdout is not a JSON record
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    prog = " ".join(["tdc", *argv[:-1]])
+    assert out.out.startswith(f"usage: {prog} ") and out.err == ""

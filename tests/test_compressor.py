@@ -175,14 +175,56 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
-def test_assemble_builds_queries_once_per_window_and_forwards_once_per_frame(monkeypatch):
+def record_forward_runs(monkeypatch, tl):
+    """The frames of tl that each qformer.forward call compresses, one list per call in call order."""
+    runs, real = [], qformer.forward
+
+    def recorded(params, queries, visual, audio):
+        assert visual.ndim == 3, "dynamic frames are forwarded as a stack"
+        run = [int(np.flatnonzero((tl.visual_tokens == v).all(axis=(1, 2)))[0]) for v in visual]
+        np.testing.assert_array_equal(audio, tl.audio_tokens[run])
+        runs.append(run)
+        return real(params, queries, visual, audio)
+
+    monkeypatch.setattr(qformer, "forward", recorded)
+    return runs
+
+
+def test_assemble_builds_queries_once_per_window_and_forwards_each_run_of_dynamic_frames_once(monkeypatch):
     tl, params, _ = small_setup(frames=14, text_conditioning=True)
     # windows [0..3], [4], [5..8], [9..12], [13]: three with dynamic frames, 9 dynamic frames
     plan = tdc.make_windows(ScenePartition(14, (4, 5, 9)), 4)
-    calls = count_calls(monkeypatch, qformer, ("build_queries", "forward"))
+    calls = count_calls(monkeypatch, qformer, ("build_queries",))
+    runs = record_forward_runs(monkeypatch, tl)
     stream = tdc.assemble_tdc(tl, plan, params, text=tdc.tokenize_text("find the cat"))
-    assert calls == {"build_queries": 3, "forward": 9}
+    assert calls == {"build_queries": 3}
+    assert runs == [[1, 2, 3], [6, 7, 8], [10, 11, 12]]
+    assert sorted(f for run in runs for f in run) == [f for w in plan.windows for f in w.dynamic_frames]
+    assert max(map(len, runs)) <= compressor.STACK_FRAMES
     assert np.sum(stream.provenance == int(Provenance.DYNAMIC)) == 9 * params.cfg.queries
+
+
+def test_a_window_longer_than_the_stack_cap_is_compressed_in_several_stacks(monkeypatch):
+    tl, params, _ = small_setup(frames=20, boundaries=(), text_conditioning=True)
+    plan = tdc.make_windows(ScenePartition(20, ()), 20)
+    text = tdc.tokenize_text("find the cat")
+    queries = qformer.build_queries(params, tl.visual_tokens[0], text)
+    alone = [qformer.forward(params, queries, tl.visual_tokens[f], tl.audio_tokens[f])[0] for f in range(1, 20)]
+    runs = record_forward_runs(monkeypatch, tl)
+    stream = tdc.assemble_tdc(tl, plan, params, text=text)
+    assert runs == [list(range(1, 9)), list(range(9, 17)), list(range(17, 20))]
+    dynamic = stream.provenance == int(Provenance.DYNAMIC)
+    k = params.cfg.queries
+    assert np.array_equal(stream.tokens[dynamic], np.concatenate(alone))
+    np.testing.assert_array_equal(stream.frame_index[dynamic], np.repeat(np.arange(1, 20), k))
+
+    monkeypatch.undo()
+    visual = tl.visual_tokens.copy()
+    visual[10, 0, 0] = np.nan  # inside the second stack, frames 9 to 16
+    bad = tdc.VideoTimeline(visual, tl.audio_tokens, tl.descriptors)
+    row = tl.visual_tokens_per_frame + tl.audio_tokens_per_frame + 1 + (10 - 1) * k
+    with pytest.raises(NumericError, match=f"^stream token {row} from frame 10 is not finite$"):
+        tdc.assemble_tdc(bad, plan, params, text=text)
 
 
 def test_one_frame_windows_build_no_queries(monkeypatch):
@@ -643,3 +685,19 @@ def test_assemble_and_write_hold_the_stream_plus_one_chunk_and_one_window(
     path = tmp_path_factory.mktemp("bound") / "s.tdcs"
     _, peak = traced(lambda: tdc.write_stream(stream, path))
     assert peak <= chunk + CALL_SLACK, f"write_stream peak {peak}, allowed {chunk + CALL_SLACK}"
+
+
+def test_a_long_window_holds_no_more_than_one_stack_of_frames():
+    # one scene, so that a window of 200 frames runs 199 dynamic frames as 25 stacks
+    tl = tdc.synth_generate(tdc.SynthSpec(seed=5, frames=400))
+    params = tdc.init_params(tdc.QFormerConfig(text_conditioning=True))
+    text = tdc.tokenize_text("where is the ball")
+
+    def working_set(window):
+        plan = tdc.make_windows(ScenePartition(400, ()), window)
+        stream, peak = traced(lambda: tdc.assemble_tdc(tl, plan, params, text=text))
+        return peak - sum(x.nbytes for x in (stream.tokens, stream.provenance, stream.frame_index, stream.window_index))
+
+    one_stack = working_set(compressor.STACK_FRAMES + 1)
+    long = working_set(200)
+    assert long <= 1.25 * one_stack, f"window 200 holds {long} bytes past its stream, one full stack {one_stack}"
