@@ -10,6 +10,7 @@ compressed tokens per dynamic frame in frame order.  Windows follow
 timeline order; no separator is inserted between windows.  A window builds
 its queries once and compresses its dynamic frames with one ``qformer.forward``
 per run of at most ``STACK_FRAMES`` frames; a window without dynamic frames builds none.
+A window that ``reuse`` names is copied from another stream, not computed.
 The stream is one buffer of the rows ``token_budget`` counts, which a
 checked ``QFormerParams`` fills exactly, block by block.  A ``TDCStream`` is
 checked once, when it is made, against the float32 range of the TDCS file,
@@ -111,10 +112,15 @@ class CompressionContext:
     segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
     window_length: int = DEFAULT_WINDOW
 
-    def compress(self, tl: VideoTimeline, text: InstructionTokens | None = None) -> tuple[WindowPlan, TDCStream]:
-        """Cut the timeline into scenes, tile them with windows and assemble the stream."""
+    def compress(
+        self,
+        tl: VideoTimeline,
+        text: InstructionTokens | None = None,
+        reuse: dict[tuple[int, int], np.ndarray] | None = None,
+    ) -> tuple[WindowPlan, TDCStream]:
+        """Cut the timeline into scenes, tile them with windows and assemble the stream; ``reuse`` is ``assemble_tdc``'s."""
         plan = make_windows(segment_scenes(tl, self.segmenter), self.window_length)
-        return plan, assemble_tdc(tl, plan, self.params, text=text)
+        return plan, assemble_tdc(tl, plan, self.params, text=text, reuse=reuse)
 
 
 @dataclass(frozen=True)
@@ -135,9 +141,12 @@ def assemble_tdc(
     plan: WindowPlan,
     params: qformer.QFormerParams,
     text: InstructionTokens | None = None,
+    reuse: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> TDCStream:
     """Build the full compressed stream for a planned timeline, in one buffer of
     ``token_budget``'s total rows into which each block is written as it is made.
+    ``reuse`` maps a window's ``(static_frame, stop)`` to its token rows in a stream
+    of the same frames, text and params; such a window's rows are copied, not computed.
 
     Raises ShapeError if the plan and the timeline differ in frame count, and
     NumericError, naming the first frame, if a token is not finite or overflows float32.
@@ -146,33 +155,38 @@ def assemble_tdc(
         raise ShapeError(f"plan covers {plan.partition.frame_count} frames, timeline has {tl.frame_count}")
     # float32 frames: project and forward convert what they read
     visual, audio = tl.visual_tokens, tl.audio_tokens
+    m_v, m_a, k = tl.visual_tokens_per_frame, tl.audio_tokens_per_frame, params.cfg.queries
     n, d = token_budget(tl, plan, params.cfg).total, params.cfg.model_dim
     tokens, provenance, frames, windows = np.empty((n, d)), np.empty(n, np.uint8), np.empty(n, np.int32), np.empty(n, np.int32)
     at = 0
     # a non-finite input is reported once, by the stream that the rows make
     with np.errstate(invalid="ignore", over="ignore"):
         for w, window in enumerate(plan.windows):
-            for frame, code, block in _window_blocks(params, visual, audio, window, text):
-                rows = slice(at, at + len(block))
-                tokens[rows], provenance[rows] = block, code
-                frames[rows], windows[rows] = frame, w
-                at = rows.stop
+            # the layout that Window.rows counts: m_v visual and m_a audio rows of the static
+            # frame, one separator, K rows per dynamic frame; the provenance codes are in that order
+            s, dynamic = window.static_frame, window.dynamic_frames
+            rows = slice(at, at + window.rows(m_v + m_a, k))
+            provenance[rows] = np.repeat(tuple(Provenance), (m_v, m_a, 1, len(dynamic) * k))
+            frames[rows] = np.repeat((s, -1, *dynamic), (m_v + m_a, 1) + (k,) * len(dynamic))
+            windows[rows] = w
+            done = reuse.get((s, window.stop)) if reuse else None
+            for block in (done,) if done is not None else _window_blocks(params, visual, audio, window, text):
+                tokens[at : at + len(block)] = block
+                at += len(block)
     return TDCStream(tokens, provenance, frames, windows)
 
 
 def _window_blocks(params, visual, audio, window: Window, text):
-    """(frames, provenance, block) of each block of a window's rows, in stream order:
-    a DYNAMIC block is one run of at most ``STACK_FRAMES`` frames, with each row's frame."""
-    s, m_v, dynamic = window.static_frame, visual.shape[1], window.dynamic_frames
-    static = qformer.project(params, visual[s], audio[s])
-    yield s, Provenance.STATIC_VISUAL, static[:m_v]
-    yield s, Provenance.STATIC_AUDIO, static[m_v:]
-    yield -1, Provenance.SEP, params["sep"]
+    """The token blocks of a window's rows, in stream order: the static frame's
+    projection, the separator, then one block per run of at most ``STACK_FRAMES`` dynamic frames."""
+    s, dynamic = window.static_frame, window.dynamic_frames
+    yield qformer.project(params, visual[s], audio[s])
+    yield params["sep"]
     if dynamic:
         queries = qformer.build_queries(params, visual[s], text)
     for run in (dynamic[i : i + STACK_FRAMES] for i in range(0, len(dynamic), STACK_FRAMES)):
         block = qformer.forward(params, queries, visual[run.start : run.stop], audio[run.start : run.stop])[0]
-        yield np.repeat(run, block.shape[1]), Provenance.DYNAMIC, block.reshape(-1, block.shape[2])
+        yield block.reshape(-1, block.shape[2])
 
 
 def token_budget(tl: VideoTimeline, plan: WindowPlan, cfg: qformer.QFormerConfig) -> BudgetReport:

@@ -5,7 +5,9 @@ each span's stream against the question; the final call sees the
 whole-video stream plus every interval-tagged intermediate answer.  Every
 stream comes from the caller's ``CompressionContext``, run on the span as
 if it were a whole timeline, so spans are hard boundaries for scene
-segmentation.
+segmentation.  The whole-video stream takes each window that matches a
+span window, the same static frame and stop, from that span's stream
+instead of compressing it again; the streams are the same either way.
 """
 
 from __future__ import annotations
@@ -84,11 +86,15 @@ def run_lvcot(
     prompt = SEGMENT_TEMPLATE.format(question=question)
 
     answers: list[str] = []
+    reuse = {}  # each span window's token rows, read-only views, by its absolute (static frame, stop)
     for i, (start, stop) in enumerate(spans):
         try:
-            _, stream = ctx.compress(tl.slice(start, stop), text)
+            plan, stream = ctx.compress(tl.slice(start, stop), text)
         except NumericError as exc:
             raise NumericError(f"segment {i} ({start}s-{stop}s, frames counted from its start): {exc}") from exc
+        edges = np.searchsorted(stream.window_index, range(len(plan.windows) + 1))
+        for w, a, b in zip(plan.windows, edges, edges[1:]):
+            reuse[start + w.static_frame, start + w.stop] = stream.tokens[a:b]
         try:
             answers.append(answerer.answer(prompt, stream))
         except OrchestrationError as exc:
@@ -96,7 +102,7 @@ def run_lvcot(
 
     notes = [f"[{start}s-{stop}s]: {answer}" for (start, stop), answer in zip(spans, answers)]
     final_prompt = "\n".join(notes + [FINAL_TEMPLATE.format(question=question)])
-    _, full_stream = ctx.compress(tl, text)
+    _, full_stream = ctx.compress(tl, text, reuse=reuse)
     try:
         final_answer = answerer.answer(final_prompt, full_stream)
     except OrchestrationError as exc:

@@ -173,6 +173,36 @@ def test_pool_rejects_bad_counts():
         kernels.pool_matrix(3, 0)
 
 
+def test_contiguous_groups_exact_division():
+    assert kernels.contiguous_groups(90, 3) == ((0, 30), (30, 60), (60, 90))
+
+
+def test_contiguous_groups_larger_first():
+    assert kernels.contiguous_groups(10, 3) == ((0, 4), (4, 7), (7, 10))
+
+
+def test_contiguous_groups_single_segment():
+    assert kernels.contiguous_groups(7, 1) == ((0, 7),)
+
+
+def test_contiguous_groups_rejects_more_segments_than_seconds():
+    with pytest.raises(ArgumentError):
+        kernels.contiguous_groups(2, 3)
+    with pytest.raises(ArgumentError):
+        kernels.contiguous_groups(5, 0)
+
+
+@pytest.mark.parametrize("seconds,segments", [(10, 3), (17, 4), (99, 7), (5, 5)])
+def test_contiguous_groups_partition_properties(seconds, segments):
+    spans = kernels.contiguous_groups(seconds, segments)
+    assert spans[0][0] == 0 and spans[-1][1] == seconds
+    sizes = [b - a for a, b in spans]
+    assert all(s >= 1 for s in sizes)
+    assert max(sizes) - min(sizes) <= 1
+    for (_, b), (a, _) in zip(spans, spans[1:]):
+        assert b == a
+
+
 def test_layer_norm_grad_matches_finite_differences():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 5))

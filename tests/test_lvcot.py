@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdc
-from tdc import kernels
+from tdc import kernels, qformer
 from tdc.compressor import Provenance
-from tdc.errors import ArgumentError, NumericError, OrchestrationError
+from tdc.errors import NumericError, OrchestrationError
 
 
 class CountingEcho(tdc.EchoAnswerer):
@@ -31,36 +33,6 @@ def small_timeline(frames, boundaries=(), seed=0):
             visual_tokens=6, audio_tokens=4, dim=8,
         )
     )
-
-
-def test_split_spans_exact_division():
-    assert kernels.contiguous_groups(90, 3) == ((0, 30), (30, 60), (60, 90))
-
-
-def test_split_spans_larger_first():
-    assert kernels.contiguous_groups(10, 3) == ((0, 4), (4, 7), (7, 10))
-
-
-def test_split_spans_single_segment():
-    assert kernels.contiguous_groups(7, 1) == ((0, 7),)
-
-
-def test_split_spans_rejects_more_segments_than_seconds():
-    with pytest.raises(ArgumentError):
-        kernels.contiguous_groups(2, 3)
-    with pytest.raises(ArgumentError):
-        kernels.contiguous_groups(5, 0)
-
-
-@pytest.mark.parametrize("seconds,segments", [(10, 3), (17, 4), (99, 7), (5, 5)])
-def test_split_spans_partition_properties(seconds, segments):
-    spans = kernels.contiguous_groups(seconds, segments)
-    assert spans[0][0] == 0 and spans[-1][1] == seconds
-    sizes = [b - a for a, b in spans]
-    assert all(s >= 1 for s in sizes)
-    assert max(sizes) - min(sizes) <= 1
-    for (_, b), (a, _) in zip(spans, spans[1:]):
-        assert b == a
 
 
 class RecordingMock(tdc.MockAnswerer):
@@ -171,3 +143,105 @@ def test_question_feeds_text_conditioning():
     # stream contents change under conditioning, stream sizes do not
     assert plain.final_answer != conditioned.final_answer
     assert plain.spans == conditioned.spans
+
+
+class RecordingEcho(tdc.EchoAnswerer):
+    """Keeps every stream it is asked about, and the first value of ``counter`` at each call."""
+
+    def __init__(self, counter=(0,)):
+        self.streams, self.computed, self._counter = [], [], counter
+
+    def answer(self, prompt, stream):
+        self.streams.append(stream)
+        self.computed.append(self._counter[0])
+        return super().answer(prompt, stream)
+
+
+def assert_same_stream(got, want):
+    for name in ("tokens", "provenance", "frame_index", "window_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    frames=st.integers(1, 24),
+    window_length=st.integers(1, 10),
+    k=st.integers(1, 3),
+    query_type=st.sampled_from(qformer.QUERY_TYPES),
+    text_on=st.booleans(),
+)
+def test_every_answerer_stream_equals_its_compression_run_alone(data, seed, frames, window_length, k, query_type, text_on):
+    # the final stream reuses span windows; each stream must be the one its timeline gives alone
+    cuts = tuple(c for c in range(1, frames) if data.draw(st.booleans(), label=f"cut at {c}"))
+    segments = data.draw(st.integers(1, min(frames, 4)), label="segments")
+    tl = tdc.synth_generate(tdc.SynthSpec(seed=seed, frames=frames, boundaries=cuts, visual_tokens=4, audio_tokens=2, dim=8))
+    cfg = tdc.QFormerConfig(
+        model_dim=8, heads=2, layers=1, queries=k, query_type=query_type,
+        text_conditioning=text_on, visual_dim=8, audio_dim=8, seed=seed,
+    )
+    ctx = tdc.CompressionContext(params=tdc.init_params(cfg), window_length=window_length)
+    question = "where does the dog run"
+    text = tdc.tokenize_text(question)
+    echo = RecordingEcho()
+    trace = tdc.run_lvcot(tl, question, echo, tdc.LVCoTConfig(segments=segments), ctx)
+    *span_streams, final = echo.streams
+    assert len(span_streams) == len(trace.spans) == segments
+    for (a, b), stream in zip(trace.spans, span_streams):
+        assert_same_stream(stream, ctx.compress(tl.slice(a, b), text)[1])
+    assert_same_stream(final, ctx.compress(tl, text)[1])
+
+
+@pytest.fixture
+def computed_windows(monkeypatch):
+    """A counter of the windows compressed (one ``project`` each) and of ``forward`` calls, in that order."""
+    count = [0, 0]
+    project, forward = qformer.project, qformer.forward
+
+    def counting_project(*args):
+        count[0] += 1
+        return project(*args)
+
+    def counting_forward(*args):
+        count[1] += 1
+        return forward(*args)
+
+    monkeypatch.setattr(qformer, "project", counting_project)
+    monkeypatch.setattr(qformer, "forward", counting_forward)
+    return count
+
+
+def test_final_stream_computes_no_window_when_span_edges_are_scene_cuts(computed_windows):
+    tl = small_timeline(30, boundaries=(10, 20), seed=9)
+    ctx = small_context(text_conditioning=True)
+    plan, alone = ctx.compress(tl, tdc.tokenize_text("q"))
+    assert plan.partition.boundaries == (10, 20)
+    computed_windows[:] = [0, 0]
+    echo = RecordingEcho(computed_windows)
+    tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=3), ctx)
+    # each span compressed its 3 windows; the final stream took all 9 from them
+    assert echo.computed == [3, 6, 9, 9]
+    assert computed_windows == [9, 9]
+    assert_same_stream(echo.streams[-1], alone)
+    # the reused windows live for one call: a second run, asked another question, computes
+    # as many again, and its final stream holds none of the first run's rows
+    again = RecordingEcho(computed_windows)
+    tdc.run_lvcot(tl, "r", again, tdc.LVCoTConfig(segments=3), ctx)
+    assert computed_windows == [18, 18]
+    assert_same_stream(again.streams[-1], ctx.compress(tl, tdc.tokenize_text("r"))[1])
+
+
+def test_a_window_over_every_span_matches_none_and_the_final_stream_is_unchanged(computed_windows):
+    tl = small_timeline(12, seed=3)
+    ctx = tdc.CompressionContext(params=small_context().params, window_length=12)
+    plan, alone = ctx.compress(tl, tdc.tokenize_text("q"))
+    assert [(w.static_frame, w.stop) for w in plan.windows] == [(0, 12)]
+    computed_windows[:] = [0, 0]
+    echo = RecordingEcho(computed_windows)
+    tdc.run_lvcot(tl, "q", echo, tdc.LVCoTConfig(segments=3), ctx)
+    # three span windows of 4 frames, then the one 12-frame window, computed: 11 frames in 2 stacks
+    assert echo.computed == [1, 2, 3, 4]
+    assert computed_windows == [4, 3 + 2]
+    assert_same_stream(echo.streams[-1], alone)
